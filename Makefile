@@ -83,7 +83,8 @@ bench-smoke:
 # must agree byte for byte, with the spilled run's frontier pinned to
 # its budget — ok is load-bearing), then the same exactness contract
 # through the CLI: two sweeps at wildly different --mem-budget values
-# write byte-identical artifacts.
+# write byte-identical artifacts, and so do two single-run searches
+# (the first must really have spilled frontier chunks to disk).
 m5-smoke:
 	dune build bin/stp_cli.exe
 	_build/default/bin/stp_cli.exe experiments --quick --only E16 --json _build/stp_e16.json > /dev/null
@@ -92,6 +93,11 @@ m5-smoke:
 	_build/default/bin/stp_cli.exe attack -p norep -c del -d 2 --symm -x 0,1 -x 1,0 -x 0 -x 1 --mem-budget 999999999 --json _build/stp_m5_mem.json > /dev/null
 	cmp _build/stp_m5_spill.json _build/stp_m5_mem.json
 	_build/default/bin/stp_cli.exe validate _build/stp_m5_spill.json
+	_build/default/bin/stp_cli.exe attack -p norep -c del -d 3 --x1 0,1,2 --depth 20 --single --mem-budget 1 --json _build/stp_single_spill.json > _build/stp_single_spill.txt
+	grep -q 'spilled [1-9]' _build/stp_single_spill.txt
+	_build/default/bin/stp_cli.exe attack -p norep -c del -d 3 --x1 0,1,2 --depth 20 --single --mem-budget 999999999 --json _build/stp_single_mem.json > /dev/null
+	cmp _build/stp_single_spill.json _build/stp_single_mem.json
+	_build/default/bin/stp_cli.exe validate _build/stp_single_spill.json
 
 # The committed perf baseline (BENCH_PR10.json): a real-quota timing
 # artifact checked into the repo so future changes can be compared

@@ -2,6 +2,7 @@ module Chan = Channel.Chan
 module Global = Kernel.Global
 module Move = Kernel.Move
 module Sim = Kernel.Sim
+module Bfs = Kernel.Bfs
 module Protocol = Kernel.Protocol
 module Symm = Kernel.Symm
 module Xset = Seqspace.Xset
@@ -114,8 +115,8 @@ module Runstate = struct
     | Move.Drop_to_receiver m -> 4 + sa + m
     | Move.Deliver_to_sender m -> 4 + (2 * sa) + m
     | Move.Drop_to_sender m -> 4 + (2 * sa) + ra + m
-    (* Corruption happens at search roots (seeded via [seed]), never
-       as a searched transition, so no caller ever feeds these here. *)
+    (* Corruption happens at search roots, never as a searched
+       transition, so no caller ever feeds these here. *)
     | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
         invalid_arg "Runstate: corrupt-state moves are roots, not transitions"
 
@@ -146,17 +147,6 @@ module Runstate = struct
     t
 
   let initial t = (t.g0, 0)
-
-  (* Intern an arbitrary root state — the corrupted-start seam: a
-     stabilisation search seeds one id per enumerated corruption and
-     then shares the one transition store across every root's BFS,
-     exactly as the all-pairs sweep shares it across pairs. *)
-  let seed t g =
-    if not t.memo then 0
-    else begin
-      Mutex.lock t.lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> sid t g)
-    end
 
   let apply t g id move =
     if not t.memo then
@@ -712,100 +702,6 @@ let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_00
         | None -> No_violation { closed = true; states_explored }
       end
 
-let search_single_raw (p : Protocol.t) ~x ?(depth = 64) ?(max_states = 200_000)
-    ?allow_drops ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?max_seconds
-    ?mem_budget_bytes ?stats () =
-  let allow_drops =
-    match allow_drops with Some b -> b | None -> Chan.deletes p.Protocol.channel
-  in
-  let over_deadline = make_deadline max_seconds in
-  let intern = Stdx.Intern.create ~size:64 () in
-  let scratch = Stdx.Codec.create ~size:256 () in
-  let gid g =
-    Stdx.Codec.reset scratch;
-    Global.emit scratch g;
-    fst
-      (Stdx.Intern.intern_bytes intern (Stdx.Codec.buffer scratch) ~pos:0
-         ~len:(Stdx.Codec.length scratch))
-  in
-  let table : (int, Global.t * (int * Move.t) option * int) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let frontier = Stdx.Frontier.create ?mem_budget_bytes () in
-  Fun.protect
-    ~finally:(fun () ->
-      (match stats with
-      | Some s ->
-          Stats.note s (Stdx.Frontier.stats frontier)
-            ~joint_states:(Hashtbl.length table)
-      | None -> ());
-      Stdx.Frontier.close frontier)
-  @@ fun () ->
-  let g0 = Global.initial p ~input:(Array.of_list x) in
-  let key0 = gid g0 in
-  Hashtbl.replace table key0 (g0, None, 0);
-  Stdx.Frontier.push frontier key0;
-  let result = ref None in
-  let truncated = ref false in
-  while (not (Stdx.Frontier.is_empty frontier)) && !result = None do
-    if over_deadline () then begin
-      truncated := true;
-      Stdx.Frontier.clear frontier
-    end
-    else begin
-    let key = Stdx.Frontier.pop frontier in
-    let g, _, d = Hashtbl.find table key in
-    if d >= depth then truncated := true
-    else
-      List.iter
-        (fun move ->
-          if !result = None then begin
-            let keep =
-              match move with
-              | Move.Wake_sender -> Chan.sent_total g.Global.chan_sr < max_sends_per_sender
-              | Move.Wake_receiver -> Chan.sent_total g.Global.chan_rs < max_sends_per_receiver
-              | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> allow_drops
-              | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _ -> true
-              | Move.Restart_sender | Move.Restart_receiver
-              | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
-                  false
-            in
-            if keep then begin
-              let g' = Sim.apply p g move in
-              let key' = gid g' in
-              if not (Hashtbl.mem table key') then begin
-                if Hashtbl.length table >= max_states then truncated := true
-                else begin
-                  Hashtbl.replace table key' (g', Some (key, move), d + 1);
-                  if not (Global.safety_ok g') then result := Some key';
-                  Stdx.Frontier.push frontier key'
-                end
-              end
-            end
-          end)
-        (Sim.enabled p g)
-    end
-  done;
-  let states_explored = Hashtbl.length table in
-  match !result with
-  | Some key ->
-      let rec unwind key acc =
-        match Hashtbl.find table key with
-        | _, None, _ -> acc
-        | _, Some (pkey, move), _ -> unwind pkey (Only1 move :: acc)
-      in
-      let moves = unwind key [] in
-      Witness
-        {
-          x1 = x;
-          x2 = x;
-          kind = Safety { violated_run = 1 };
-          joint_moves = moves;
-          depth = List.length moves;
-          states_explored;
-        }
-  | None -> No_violation { closed = not !truncated; states_explored }
-
 (* --- The symmetry quotient -------------------------------------------
 
    For a protocol declaring an {!Symm.equivariance}, relabelling the
@@ -910,18 +806,79 @@ let search_pair (p : Protocol.t) ~x1 ~x2 ?depth ?max_states ?allow_drops
         ?stats ()
       |> relabel_outcome eq pi ~x1 ~x2
 
-let search_single (p : Protocol.t) ~x ?depth ?max_states ?allow_drops
-    ?max_sends_per_sender ?max_sends_per_receiver ?max_seconds ?mem_budget_bytes ?stats
-    ?(symm = false) () =
-  match (if symm then p.Protocol.symmetry else None) with
-  | None ->
-      search_single_raw p ~x ?depth ?max_states ?allow_drops ?max_sends_per_sender
-        ?max_sends_per_receiver ?max_seconds ?mem_budget_bytes ?stats ()
-  | Some eq ->
-      let cx, pi = Symm.canon_seq ~m:(infer_m [ x ]) x in
-      search_single_raw p ~x:cx ?depth ?max_states ?allow_drops ?max_sends_per_sender
-        ?max_sends_per_receiver ?max_seconds ?mem_budget_bytes ?stats ()
-      |> relabel_outcome eq pi ~x1:x ~x2:x
+let search_single (p : Protocol.t) ~x ?(depth = 64) ?(max_states = 200_000) ?allow_drops
+    ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?max_seconds
+    ?mem_budget_bytes ?stats ?(symm = false) () =
+  (* Under the quotient, search the canonical relabelling of [x] and
+     translate any witness back. *)
+  let x, relabel =
+    match (if symm then p.Protocol.symmetry else None) with
+    | None -> (x, Fun.id)
+    | Some eq ->
+        let cx, pi = Symm.canon_seq ~m:(infer_m [ x ]) x in
+        (cx, relabel_outcome eq pi ~x1:x ~x2:x)
+  in
+  let allow_drops =
+    match allow_drops with Some b -> b | None -> Chan.deletes p.Protocol.channel
+  in
+  let keep = Bfs.move_filter ~allow_drops ~max_sends_per_sender ~max_sends_per_receiver in
+  let over_deadline = make_deadline max_seconds in
+  let table = Bfs.create ~max_states () in
+  let frontier = Stdx.Frontier.create ?mem_budget_bytes () in
+  Fun.protect
+    ~finally:(fun () ->
+      (match stats with
+      | Some s ->
+          Stats.note s (Stdx.Frontier.stats frontier) ~joint_states:(Bfs.length table)
+      | None -> ());
+      Stdx.Frontier.close frontier)
+  @@ fun () ->
+  let g0 = Global.initial p ~input:(Array.of_list x) in
+  let id0 = Bfs.intern table g0 in
+  Bfs.root table id0 g0;
+  Stdx.Frontier.push frontier id0;
+  let result = ref None in
+  let truncated = ref false in
+  while (not (Stdx.Frontier.is_empty frontier)) && !result = None do
+    if over_deadline () then begin
+      truncated := true;
+      Stdx.Frontier.clear frontier
+    end
+    else begin
+    let id = Stdx.Frontier.pop frontier in
+    let g = Bfs.take table id in
+    if Bfs.depth table id >= depth then truncated := true
+    else
+      List.iter
+        (fun move ->
+          if !result = None && keep g move then begin
+            let g' = Sim.apply p g move in
+            let id' = Bfs.intern table g' in
+            if not (Bfs.mem table id') then
+              if Bfs.admit table id' g' ~parent:id ~move then begin
+                if not (Global.safety_ok g') then result := Some id';
+                Stdx.Frontier.push frontier id'
+              end
+              else truncated := true
+          end)
+        (Sim.enabled p g)
+    end
+  done;
+  let states_explored = Bfs.length table in
+  relabel
+    (match !result with
+    | Some id ->
+        let moves = List.map (fun m -> Only1 m) (snd (Bfs.path table id)) in
+        Witness
+          {
+            x1 = x;
+            x2 = x;
+            kind = Safety { violated_run = 1 };
+            joint_moves = moves;
+            depth = List.length moves;
+            states_explored;
+          }
+    | None -> No_violation { closed = not !truncated; states_explored })
 
 let eligible_pairs ~xs =
   let rec pairs = function

@@ -33,13 +33,15 @@
     ({!Stdx.Intern.intern_bytes}), keying their tables, queues, and
     parent pointers on those ids — [(int * int)] pairs for the joint
     search — so a state's fingerprint is hashed at most once, never
-    re-built for an already-seen state, and never re-compared.  The
-    joint BFS additionally caches each node's expansion; the
-    starvation pass consumes the cached graph instead of
-    re-simulating the closed table.  Single-run transitions are
+    re-built for an already-seen state, and never re-compared.  BFS
+    frontiers are chunked varint queues ({!Stdx.Frontier}) of bare ids
+    rather than boxed queues.  {!search_single} keeps its ids in the
+    shared single-run table ({!Kernel.Bfs}), which holds a state only
+    until it is expanded; the joint BFS keeps every node, because its
+    starvation pass re-reads the closed graph's globals and cached
+    expansions.  Single-run transitions of the joint search are
     memoised per input in a {!Runstate} store that {!search} shares
-    across all pairs of a sweep.  BFS frontiers are chunked varint
-    queues ({!Stdx.Frontier}) of bare ids rather than boxed queues.
+    across all pairs of a sweep.
 
     With [~symm:true], searches on protocols declaring an
     {!Kernel.Symm.equivariance} are quotiented by data-alphabet
@@ -108,23 +110,17 @@ module Runstate : sig
       any search is the same either way. *)
 
   val initial : t -> Kernel.Global.t * int
-  (** The initial global state and its id (always 0). *)
-
-  val seed : t -> Kernel.Global.t -> int
-  (** Intern an arbitrary root state and return its id — the
-      corrupted-start seam: a stabilisation search seeds one id per
-      enumerated corruption ({!Kernel.Global.initial} with perturbed
-      processes) and shares the one transition store across every
-      root's BFS, exactly as the all-pairs sweep shares it across
-      pairs.  In [memo:false] mode ids are vestigial and [0] is
-      returned. *)
+  (** The initial global state and its id (always 0) — the only root a
+      store has: every other id is reached through {!apply}. *)
 
   val apply :
     t -> Kernel.Global.t -> int -> Kernel.Move.t -> (Kernel.Global.t * int) option
   (** [apply t g id move] is the successor of [g] (whose store id is
       [id]) under [move], with its id — memoised per [(id, move)].
       [None] when the simulator rejects the move
-      ([Sim.Model_violation]); the rejection is cached too. *)
+      ([Sim.Model_violation]); the rejection is cached too.
+      @raise Invalid_argument on a corruption move: corrupted states
+      are search roots, never transitions. *)
 
   val states : t -> int
   (** Distinct states interned so far. *)

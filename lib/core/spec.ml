@@ -1,7 +1,7 @@
 module Chan = Channel.Chan
 module Global = Kernel.Global
-module Move = Kernel.Move
 module Sim = Kernel.Sim
+module Bfs = Kernel.Bfs
 module Proc = Kernel.Proc
 module Protocol = Kernel.Protocol
 
@@ -18,127 +18,84 @@ let recoverability (p : Protocol.t) ~input ?(depth = 80) ?(max_states = 200_000)
   let allow_drops =
     match allow_drops with Some b -> b | None -> Chan.deletes p.Protocol.channel
   in
-  let keep (g : Global.t) = function
-    | Move.Wake_sender -> Chan.sent_total g.Global.chan_sr < max_sends_per_sender
-    | Move.Wake_receiver -> Chan.sent_total g.Global.chan_rs < max_sends_per_receiver
-    | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> allow_drops
-    | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _ -> true
-    | Move.Restart_sender | Move.Restart_receiver | Move.Corrupt_sender _
-    | Move.Corrupt_receiver _ ->
-        false
-  in
-  (* Forward exploration, remembering each state's successors.  States
-     are keyed by interned ids of their binary fingerprints (emitted
-     into one reusable codec buffer), so the fingerprint bytes are
-     hashed once per generated state and the graph plumbing below —
-     successor lists, reversed edges, mark queues — is all over ints.
-     The send caps keep deleting channels finite but also hide
-     behaviours (a retransmitting sender is not really out of copies),
-     so states where the cap filtered a move are marked capped: they
-     and their ancestors must not be declared dead. *)
-  let intern = Stdx.Intern.create ~size:4096 () in
-  let scratch = Stdx.Codec.create ~size:256 () in
-  let gid g =
-    Stdx.Codec.reset scratch;
-    Global.emit scratch g;
-    fst
-      (Stdx.Intern.intern_bytes intern (Stdx.Codec.buffer scratch) ~pos:0
-         ~len:(Stdx.Codec.length scratch))
-  in
-  let nodes :
-      (int, Global.t * int list * bool (* fully expanded *) * bool (* capped *)) Hashtbl.t =
-    Hashtbl.create 4096
-  in
-  (* (key, depth) pairs varint-packed into chunked buffers — no boxed
-     queue cells or tuples on the BFS hot path. *)
+  let keep = Bfs.move_filter ~allow_drops ~max_sends_per_sender ~max_sends_per_receiver in
+  (* Forward exploration.  Each state is held only until it is
+     expanded: the backward pass needs just three bits per id and the
+     edges, logged as they are found.  The send caps keep deleting
+     channels finite but also hide behaviours (a retransmitting sender
+     is not really out of copies), so a state where the filter rejected
+     an enabled move is marked capped: it and its ancestors must not be
+     declared dead. *)
+  let table = Bfs.create ~max_states () in
+  let complete = Stdx.Bitset.create () in
+  let expanded = Stdx.Bitset.create () in
+  let capped = Stdx.Bitset.create () in
+  (* (from, to) id pairs, varint-packed: the edge log the reversed
+     adjacency is built from once the forward pass is done. *)
+  let edges = Stdx.Frontier.create () in
   let queue = Stdx.Frontier.create () in
+  let enqueue id g =
+    if Global.complete g then ignore (Stdx.Bitset.add complete id : bool);
+    Stdx.Frontier.push queue id
+  in
   let g0 = Global.initial p ~input:(Array.of_list input) in
-  let key0 = gid g0 in
-  Hashtbl.replace nodes key0 (g0, [], false, false);
-  Stdx.Frontier.push2 queue key0 0;
+  let id0 = Bfs.intern table g0 in
+  Bfs.root table id0 g0;
+  enqueue id0 g0;
   let truncated = ref false in
   while not (Stdx.Frontier.is_empty queue) do
-    let key, d = Stdx.Frontier.pop2 queue in
-    let g, _, _, _ = Hashtbl.find nodes key in
-    if d >= depth then truncated := true
+    let id = Stdx.Frontier.pop queue in
+    let g = Bfs.take table id in
+    if Bfs.depth table id >= depth then truncated := true
     else begin
-      let capped = ref false in
-      let succs =
-        List.filter_map
-          (fun move ->
-            if not (keep g move) then begin
-              capped := true;
-              None
+      ignore (Stdx.Bitset.add expanded id : bool);
+      List.iter
+        (fun move ->
+          if not (keep g move) then ignore (Stdx.Bitset.add capped id : bool)
+          else begin
+            let g' = Sim.apply p g move in
+            let id' = Bfs.intern table g' in
+            if Bfs.mem table id' then Stdx.Frontier.push2 edges id id'
+            else if Bfs.admit table id' g' ~parent:id ~move then begin
+              Stdx.Frontier.push2 edges id id';
+              enqueue id' g'
             end
-            else begin
-              let g' = Sim.apply p g move in
-              let key' = gid g' in
-              if not (Hashtbl.mem nodes key') then begin
-                if Hashtbl.length nodes >= max_states then begin
-                  truncated := true;
-                  None
-                end
-                else begin
-                  Hashtbl.replace nodes key' (g', [], false, false);
-                  Stdx.Frontier.push2 queue key' (d + 1);
-                  Some key'
-                end
-              end
-              else Some key'
-            end)
-          (Sim.enabled p g)
-      in
-      let _, _, _, was_capped = Hashtbl.find nodes key in
-      Hashtbl.replace nodes key (g, succs, true, was_capped || !capped)
+            else truncated := true
+          end)
+        (Sim.enabled p g)
     end
   done;
   (* Backward marking over reversed edges: which states can still
      complete, and which are tainted by a cap (they, or something they
      can reach, had behaviour hidden by the budget). *)
-  let preds : (int, int list) Hashtbl.t = Hashtbl.create 4096 in
-  Hashtbl.iter
-    (fun key (_, succs, _, _) ->
-      List.iter
-        (fun s ->
-          Hashtbl.replace preds s (key :: Option.value ~default:[] (Hashtbl.find_opt preds s)))
-        succs)
-    nodes;
-  (* Interned ids are dense, so each mark set is a bitset — one bit per
-     state instead of a unit hash table entry. *)
-  let mark seed_of =
-    let marked = Stdx.Bitset.create ~size:(Hashtbl.length nodes) () in
-    let q = Stdx.Frontier.create () in
-    Hashtbl.iter
-      (fun key node ->
-        if seed_of key node then begin
-          ignore (Stdx.Bitset.add marked key : bool);
-          Stdx.Frontier.push q key
-        end)
-      nodes;
-    while not (Stdx.Frontier.is_empty q) do
-      let key = Stdx.Frontier.pop q in
-      List.iter
-        (fun p -> if Stdx.Bitset.add marked p then Stdx.Frontier.push q p)
-        (Option.value ~default:[] (Hashtbl.find_opt preds key))
-    done;
-    marked
+  let n = Bfs.length table in
+  let preds = Array.make n [] in
+  while not (Stdx.Frontier.is_empty edges) do
+    let src, dst = Stdx.Frontier.pop2 edges in
+    preds.(dst) <- src :: preds.(dst)
+  done;
+  let ids = List.init n Fun.id in
+  let mark seed =
+    let marked = Stdx.Bitset.create ~size:n () in
+    let rec go = function
+      | [] -> ()
+      | id :: rest ->
+          let fresh acc p = if Stdx.Bitset.add marked p then p :: acc else acc in
+          go (List.fold_left fresh rest preds.(id))
+    in
+    go (List.filter (fun id -> seed id && Stdx.Bitset.add marked id) ids);
+    Stdx.Bitset.mem marked
   in
-  let can_complete = mark (fun _ (g, _, _, _) -> Global.complete g) in
-  let tainted = mark (fun _ (_, _, expanded, capped) -> capped || not expanded) in
-  let completed = ref 0 and dead = ref 0 and frontier = ref 0 in
-  Hashtbl.iter
-    (fun key (g, _, expanded, _) ->
-      if Global.complete g then incr completed;
-      if not expanded then incr frontier
-      else if
-        (not (Stdx.Bitset.mem can_complete key)) && not (Stdx.Bitset.mem tainted key)
-      then incr dead)
-    nodes;
+  let can_complete = mark (Stdx.Bitset.mem complete) in
+  let tainted =
+    mark (fun id -> Stdx.Bitset.mem capped id || not (Stdx.Bitset.mem expanded id))
+  in
   {
-    states = Hashtbl.length nodes;
-    completed = !completed;
-    dead = !dead;
-    frontier = !frontier;
+    states = n;
+    completed = Stdx.Bitset.cardinal complete;
+    (* Unexpanded states are tainted, so an untainted state was expanded. *)
+    dead = List.length (List.filter (fun id -> not (can_complete id || tainted id)) ids);
+    frontier = n - Stdx.Bitset.cardinal expanded;
     closed = not !truncated;
   }
 

@@ -2,10 +2,10 @@ module Protocol = Kernel.Protocol
 module Global = Kernel.Global
 module Move = Kernel.Move
 module Sim = Kernel.Sim
+module Bfs = Kernel.Bfs
 module Sched = Kernel.Sched
 module Strategy = Kernel.Strategy
 module Symm = Kernel.Symm
-module Chan = Channel.Chan
 module Report = Stdx.Report
 module Rng = Stdx.Rng
 
@@ -105,99 +105,69 @@ let search ?(depth = 200) ?(max_states = 200_000) ?(allow_drops = true)
     ?(max_sends_per_sender = 16) ?(max_sends_per_receiver = 16) ?mem_budget_bytes ?stats
     p ~input () =
   let pairs = space p ~input in
-  let rs = Attack.Runstate.create p ~x:(Array.to_list input) in
-  (* One BFS over the union of every corrupted root's reachable space:
-     the shared transition store dedups states across roots exactly as
-     the all-pairs sweep shares it across pairs, and the visited
-     bitset keys on the store's dense ids. *)
-  let table : (int, Global.t * (int * Move.t) option * int) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  let visited = Stdx.Bitset.create () in
+  let keep = Bfs.move_filter ~allow_drops ~max_sends_per_sender ~max_sends_per_receiver in
+  (* One BFS over the union of every corrupted root's reachable space,
+     with run keys deduping states across roots. *)
+  let table = Bfs.create ~run_key:true ~max_states () in
   let frontier = Stdx.Frontier.create ?mem_budget_bytes () in
+  Fun.protect
+    ~finally:(fun () ->
+      (match stats with
+      | Some s ->
+          Attack.Stats.note s (Stdx.Frontier.stats frontier) ~joint_states:(Bfs.length table)
+      | None -> ());
+      Stdx.Frontier.close frontier)
+  @@ fun () ->
   let result = ref None in
   let truncated = ref false in
-  List.iteri
-    (fun ri (s, r) ->
+  (* The corrupted start each root id grew from; roots take ids 0, 1, … *)
+  let starts = ref [] in
+  List.iter
+    (fun ((s, r) as start) ->
       if !result = None then begin
         let g =
           Global.initial ~sender:s.Protocol.proc ~receiver:r.Protocol.proc p ~input
         in
-        let id = Attack.Runstate.seed rs g in
-        if Stdx.Bitset.add visited id then begin
-          Hashtbl.replace table id (g, None, ri);
-          if not (Global.safety_ok g) then result := Some (id, 0)
+        let id = Bfs.intern table g in
+        if not (Bfs.mem table id) then begin
+          Bfs.root table id g;
+          starts := start :: !starts;
+          if not (Global.safety_ok g) then result := Some id
           else Stdx.Frontier.push frontier id
         end
       end)
     pairs;
-  let this_level = ref (Stdx.Frontier.length frontier) in
-  let next_level = ref 0 in
-  let level = ref 0 in
   while (not (Stdx.Frontier.is_empty frontier)) && !result = None do
-    if !this_level = 0 then begin
-      this_level := !next_level;
-      next_level := 0;
-      incr level
-    end;
     let id = Stdx.Frontier.pop frontier in
-    decr this_level;
-    let g, _, root = Hashtbl.find table id in
-    if !level >= depth then truncated := true
+    let g = Bfs.take table id in
+    if Bfs.depth table id >= depth then truncated := true
     else
       List.iter
         (fun move ->
-          if !result = None then begin
-            let keep =
-              match move with
-              | Move.Wake_sender ->
-                  Chan.sent_total g.Global.chan_sr < max_sends_per_sender
-              | Move.Wake_receiver ->
-                  Chan.sent_total g.Global.chan_rs < max_sends_per_receiver
-              | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> allow_drops
-              | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _ -> true
-              | Move.Restart_sender | Move.Restart_receiver | Move.Corrupt_sender _
-              | Move.Corrupt_receiver _ ->
-                  false
-            in
-            if keep then
-              match Attack.Runstate.apply rs g id move with
-              | None -> ()
-              | Some (g', id') ->
-                  if Stdx.Bitset.add visited id' then begin
-                    if Hashtbl.length table >= max_states then truncated := true
-                    else begin
-                      Hashtbl.replace table id' (g', Some (id, move), root);
-                      if not (Global.safety_ok g') then result := Some (id', !level + 1)
-                      else Stdx.Frontier.push frontier id';
-                      incr next_level
-                    end
+          if !result = None && keep g move then
+            match Sim.apply p g move with
+            | exception Sim.Model_violation _ -> ()
+            | g' ->
+                let id' = Bfs.intern table g' in
+                if not (Bfs.mem table id') then
+                  if Bfs.admit table id' g' ~parent:id ~move then begin
+                    if not (Global.safety_ok g') then result := Some id'
+                    else Stdx.Frontier.push frontier id'
                   end
-          end)
+                  else truncated := true)
         (Sim.enabled p g)
   done;
-  (match stats with
-  | Some s ->
-      Attack.Stats.note s (Stdx.Frontier.stats frontier)
-        ~joint_states:(Hashtbl.length table)
-  | None -> ());
-  Stdx.Frontier.close frontier;
   match !result with
-  | None -> No_violation { closed = not !truncated; states = Hashtbl.length table }
-  | Some (id, d) ->
-      let rec unwind id acc =
-        match Hashtbl.find table id with
-        | _, None, root -> (root, acc)
-        | _, Some (parent, move), _ -> unwind parent (move :: acc)
-      in
-      let root, moves = unwind id [] in
-      let s, r = List.nth pairs root in
+  | None -> No_violation { closed = not !truncated; states = Bfs.length table }
+  | Some id ->
+      let root, moves = Bfs.path table id in
+      let s, r = List.nth (List.rev !starts) root in
       Violation
         {
           w_s_label = s.Protocol.label;
           w_r_label = r.Protocol.label;
           moves;
-          violation_depth = d;
+          violation_depth = Bfs.depth table id;
         }
 
 (* ------------------------ witness replay ------------------------ *)

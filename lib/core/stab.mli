@@ -80,16 +80,16 @@ val search :
   unit ->
   outcome
 (** Exact BFS over the union of every corrupted root's reachable
-    single-run space (send caps bound it), sharing one
-    {!Attack.Runstate} transition store across all roots and keeping
-    the bookkeeping succinct ({!Stdx.Frontier} queue, {!Stdx.Bitset}
-    visited marks over store ids).  [No_violation {closed = true}]
+    single-run space (send caps bound it; moves the simulator rejects
+    are skipped), on the shared single-run table ({!Kernel.Bfs}, keyed
+    by run keys).  [No_violation {closed = true}]
     means no corrupted start can reach a safety violation under the
     caps — the exhaustive half of a stabilisation argument.
     [mem_budget_bytes] spills the frontier to disk past the budget
     exactly as in {!Attack.search_pair} — outcomes are byte-identical
     either way; [stats] merges the search's resource counters into an
-    {!Attack.Stats} accumulator. *)
+    {!Attack.Stats} accumulator, and the frontier's spill file is
+    closed, on every exit path, an exception included. *)
 
 val replay : Kernel.Protocol.t -> input:int array -> witness -> bool
 (** Rebuild the witness's corrupted root (by label) and replay its

@@ -1,5 +1,3 @@
-module Chan = Channel.Chan
-
 type stats = {
   states : int;
   transitions : int;
@@ -138,12 +136,4 @@ let no_drops _g = function
   | Move.Wake_sender | Move.Wake_receiver | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _
   | Move.Restart_sender | Move.Restart_receiver | Move.Corrupt_sender _ | Move.Corrupt_receiver _
     ->
-      true
-
-let bounded_flight k (g : Global.t) = function
-  | Move.Wake_sender -> Chan.debt g.Global.chan_sr < k
-  | Move.Wake_receiver -> Chan.debt g.Global.chan_rs < k
-  | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _ | Move.Drop_to_receiver _
-  | Move.Drop_to_sender _ | Move.Restart_sender | Move.Restart_receiver
-  | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
       true

@@ -50,10 +50,3 @@ val iter_runs :
 
 val no_drops : Global.t -> Move.t -> bool
 (** The filter excluding deletion moves. *)
-
-val bounded_flight : int -> Global.t -> Move.t -> bool
-(** [bounded_flight k] refuses wake moves that would be taken while a
-    process already has [k] undelivered messages in flight towards its
-    peer — a standard partial-order-style reduction that keeps the
-    branching of exhaustive runs manageable without hiding any
-    receiver-observable behaviour for the protocols studied here. *)

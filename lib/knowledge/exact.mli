@@ -29,9 +29,8 @@ val universe :
     [depth] for every input and pools all traces.  The boolean is
     [true] when no [max_runs_per_input] cap was hit — i.e. the
     universe really is exhaustive for the truncation.  [move_filter]
-    prunes adversary choices (e.g. {!Kernel.Explore.no_drops} or
-    {!Kernel.Explore.bounded_flight}); pruned universes are exact for
-    the pruned system. *)
+    prunes adversary choices (e.g. {!Kernel.Explore.no_drops});
+    pruned universes are exact for the pruned system. *)
 
 val compare_with_sampled :
   Universe.t ->

@@ -90,8 +90,7 @@ let test_corrupt_never_enabled () =
 let test_runstate_rejects_corrupt_transitions () =
   let p = stab_p () in
   let rs = Runstate.create p ~x:[ 0; 1 ] in
-  let g = Global.initial p ~input:[| 0; 1 |] in
-  let id = Runstate.seed rs g in
+  let g, id = Runstate.initial rs in
   check Alcotest.bool "corrupt is not a transition" true
     (match Runstate.apply rs g id (Move.Corrupt_sender 1) with
     | exception Invalid_argument _ -> true
@@ -170,6 +169,53 @@ let test_search_finds_abp_witness () =
       let w' = Stab.relabel_witness eq pi w in
       check Alcotest.bool "relabelled witness replays" true
         (Stab.replay p ~input:(Array.map pi input) w')
+
+(* gbn-stab with every process step counted, raising once [limit]
+   steps have run: fingerprints are the unwrapped protocol's, so the
+   search sees the same space until the step raises. *)
+let raising_gbn_stab ~limit =
+  let p = Protocols.Gbn_stab.protocol ~domain:2 ~max_len:4 ~window:2 in
+  let steps = ref 0 in
+  let wrap proc =
+    Kernel.Proc.make ~encode:Kernel.Proc.encode ~state:proc
+      ~step:(fun s ev ->
+        incr steps;
+        if !steps > limit then failwith "step limit";
+        Kernel.Proc.step s ev)
+      ()
+  in
+  let wrap_all = List.map (fun c -> { c with Protocol.proc = wrap c.Protocol.proc }) in
+  let pe = Option.get p.Protocol.perturb in
+  {
+    p with
+    Protocol.make_sender = (fun ~input -> wrap (p.Protocol.make_sender ~input));
+    make_receiver = (fun () -> wrap (p.Protocol.make_receiver ()));
+    perturb =
+      Some
+        {
+          Protocol.sender_states = (fun ~input -> wrap_all (pe.Protocol.sender_states ~input));
+          receiver_states = (fun ~written -> wrap_all (pe.Protocol.receiver_states ~written));
+        };
+  }
+
+let test_search_closes_frontier_on_raise () =
+  (* A search that raises after its frontier has spilled must still
+     close the spill file: the fd count comes back to where it was. *)
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then begin
+    let p = raising_gbn_stab ~limit:60_000 in
+    let stats = Core.Attack.Stats.create () in
+    let before = fds () in
+    (match
+       Stab.search ~depth:64 ~max_states:200_000 ~max_sends_per_sender:4
+         ~max_sends_per_receiver:4 ~mem_budget_bytes:1 ~stats p ~input:[| 0; 1; 1; 0 |] ()
+     with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.fail "the step limit should have raised");
+    check Alcotest.bool "spilled before raising" true
+      ((Core.Attack.Stats.snapshot stats).Core.Attack.Stats.spill_chunks > 0);
+    check Alcotest.int "spill fd closed" before (fds ())
+  end
 
 let test_sweep_report_shape () =
   let r = Stab.sweep_report (sweep ()) in
@@ -437,6 +483,8 @@ let () =
         [
           Alcotest.test_case "closes abp-stab" `Quick test_search_closes_stabilising;
           Alcotest.test_case "finds and replays abp witness" `Quick test_search_finds_abp_witness;
+          Alcotest.test_case "closes its frontier on a raise" `Quick
+            test_search_closes_frontier_on_raise;
         ] );
       ( "families",
         [
