@@ -155,15 +155,11 @@ let e11_workload () =
 let e12_workload () =
   ignore (Core.Spec.recoverability (Protocols.Abp.protocol ~domain:2) ~input:[ 0; 1 ] ())
 
-(* The all-pairs sweep, with and without the [Attack.Runstate]
-   transition memo: the same pair list either way, so the delta is
-   exactly the single-run memoisation.  [Attack.search] shares one
-   store per input across all its pairs; the no-memo variant runs each
-   pair with caching disabled — the pre-memoisation engine, which
-   re-simulates (and re-serialises) a run-side successor on every
-   joint expansion that touches it.  A deleting channel with tight
-   send caps gives each pair a closed joint space of a few thousand
-   states, where each single-run state is revisited many times. *)
+(* The all-pairs sweep with one [Attack.Runstate] store per input
+   shared across all its pairs, as [Attack.search] runs it.  A deleting
+   channel with tight send caps gives each pair a closed joint space of
+   a few thousand states, where each single-run state is revisited many
+   times. *)
 let sweep_protocol = lazy (Protocols.Norep.del ~m:3)
 
 let sweep_xs =
@@ -173,20 +169,16 @@ let sweep_caps = 3
 
 let sweep_pairs = lazy (Core.Attack.eligible_pairs ~xs:(Lazy.force sweep_xs))
 
-(* Both arms run the identical [search_pair] loop over the identical
-   pair list; only the stores differ. *)
-let sweep_workload ~memo () =
+let sweep_shared_workload () =
   let p = Lazy.force sweep_protocol in
   let stores = Hashtbl.create 8 in
   let store x =
-    if memo then (
-      match Hashtbl.find_opt stores x with
-      | Some rs -> rs
-      | None ->
-          let rs = Core.Attack.Runstate.create p ~x in
-          Hashtbl.add stores x rs;
-          rs)
-    else Core.Attack.Runstate.create ~memo:false p ~x
+    match Hashtbl.find_opt stores x with
+    | Some rs -> rs
+    | None ->
+        let rs = Core.Attack.Runstate.create p ~x in
+        Hashtbl.add stores x rs;
+        rs
   in
   List.iter
     (fun (x1, x2) ->
@@ -195,9 +187,6 @@ let sweep_workload ~memo () =
         (Core.Attack.search_pair p ~x1 ~x2 ~depth:200 ~max_sends_per_sender:sweep_caps
            ~max_sends_per_receiver:sweep_caps ~runstates ()))
     (Lazy.force sweep_pairs)
-
-let sweep_shared_workload () = sweep_workload ~memo:true ()
-let sweep_nomemo_workload () = sweep_workload ~memo:false ()
 
 (* The quotiented sweep against its unquotiented twin, through the
    public [Attack.search] entry point: same pair list, same caps, the
@@ -346,7 +335,6 @@ let benches =
     ("stab_sweep_ladder", stab_sweep_ladder_workload);
     ("sched_batch", sched_batch_workload);
     ("sweep_allpairs_shared", sweep_shared_workload);
-    ("sweep_allpairs_nomemo", sweep_nomemo_workload);
     ("sweep_allpairs_symm", sweep_symm_workload);
     ("sweep_allpairs_swapsymm", sweep_swapsymm_workload);
     ("sweep_allpairs_nosymm", sweep_nosymm_workload);

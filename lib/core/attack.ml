@@ -12,6 +12,10 @@ type joint_move = Sync of Move.t | Only1 of Move.t | Only2 of Move.t
 
 let run_debt (g : Global.t) = Chan.debt g.Global.chan_sr + Chan.debt g.Global.chan_rs
 
+(* [a] with room for index [i]; new slots hold [fill]. *)
+let extend a i fill =
+  if i < Array.length a then a else Array.append a (Array.make (max 64 (i + 1)) fill)
+
 type kind = Safety of { violated_run : int } | Starvation of { starved_run : int }
 
 type witness = {
@@ -26,32 +30,6 @@ type witness = {
 type outcome =
   | Witness of witness
   | No_violation of { closed : bool; states_explored : int }
-
-(* Joint states are keyed by pairs of interned ids: each run's global
-   state is hash-consed (by its canonical binary fingerprint, emitted
-   into a reusable codec buffer) into a compact int the moment it is
-   first generated, and every table, queue, and parent pointer in the
-   search works over [(int * int)] keys from then on.  The fingerprint
-   — which embeds marshalled process states — is hashed at most once
-   per generated successor, never copied for an already-seen state,
-   and not built at all for the side an [Only1]/[Only2] move leaves
-   untouched (that side inherits the parent's id). *)
-type key = int * int
-
-type node = {
-  g1 : Global.t;
-  g2 : Global.t;
-  rsid1 : int;  (* per-x Runstate ids of [g1]/[g2]: the successor-cache
-                   keys, distinct from the per-pair joint ids *)
-  rsid2 : int;
-  parent : (key * joint_move) option;
-  node_depth : int;
-  mutable edges : (joint_move * key) list;
-      (* Expansion cache: the node's non-violating [(move, successor)]
-         list, filled when the BFS expands it.  The starvation pass
-         reuses it instead of re-running [Sim.apply] over the whole
-         closed table a second time. *)
-}
 
 (* A per-input single-run transition store.  Every joint move
    decomposes into [Sim.apply] calls on one run, and a run's successor
@@ -77,6 +55,12 @@ type node = {
    under different inputs are not interchangeable and stores are
    never shared across inputs.
 
+   Per store id the store keeps the state, its [Global.emit]
+   fingerprint id — interned once, when the id is new, so the joint
+   search keys a state pair with two array reads — and a row of
+   memoised successor ids, so a memo hit returns an id and allocates
+   nothing.
+
    The store is mutex-guarded so the parallel pair sweep can share it
    across domains; at the default [jobs = 1] the lock is uncontended
    and costs a few nanoseconds per hit.  Cached [Global.t] values are
@@ -86,27 +70,39 @@ type node = {
 module Runstate = struct
   type t = {
     p : Protocol.t;
-    x : int list;
-    intern : Stdx.Intern.t;  (* run-key bytes → dense state id *)
+    keys : Stdx.Intern.t;  (* run-key bytes → store id *)
+    prints : Stdx.Intern.t;  (* fingerprint bytes → fingerprint id *)
     scratch : Stdx.Codec.t;
     stride : int;
-        (* distinct move codes for this protocol's alphabets: memo keys
-           are the flat int [id * stride + move code], so lookups hash
-           one immediate int instead of a boxed (int, Move.t) pair *)
-    succ : (int, (Global.t * int) option) Hashtbl.t;
-        (* packed (parent state id, move) → successor and its id, or
-           None when the simulator rejects the move
-           ([Sim.Model_violation]). *)
+        (* distinct move codes for this protocol's alphabets: the memo
+           row of store id [i] is [succ.(i * stride + code)] *)
     lock : Mutex.t;
-    g0 : Global.t;
-    memo : bool;
+    (* Store id → state and store id → fingerprint id.  Slots are
+       written once, under [lock], before their id is handed out; a
+       full array is copied into a larger one, also under [lock], and
+       published through the [Atomic.t].  So {!state} and
+       {!fingerprint} read without the lock, from any domain: the
+       caller learnt the id from a locked [apply] (or it is 0, written
+       in [create]), which orders the slot write before the read, and
+       any array the [Atomic.get] returns holds the slot — the one it
+       was written to or a later copy published after it. *)
+    states : Global.t array Atomic.t;
+    prints_of : int array Atomic.t;
+    mutable succ : int array;
+        (* successor store id, [rejected] for a move the simulator
+           refuses ([Sim.Model_violation]), [unknown] until computed *)
     mutable hits : int;  (* cache hits — the work the sweep shares *)
   }
+
+  let rejected = -1
+  let unknown = -2
 
   (* Every move a search can feed the store, numbered densely: message
      values are bounded by the declared alphabets ([validate_action]
      enforces this), so the code space has a fixed stride per state. *)
-  let move_code ~sa ~ra = function
+  let move_code (p : Protocol.t) move =
+    let sa = p.Protocol.sender_alphabet and ra = p.Protocol.receiver_alphabet in
+    match move with
     | Move.Wake_sender -> 0
     | Move.Wake_receiver -> 1
     | Move.Restart_sender -> 2
@@ -120,65 +116,75 @@ module Runstate = struct
     | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
         invalid_arg "Runstate: corrupt-state moves are roots, not transitions"
 
-  (* Caller must hold [lock]. *)
-  let sid t g =
-    Stdx.Codec.reset t.scratch;
-    Global.emit_run_key t.scratch g;
-    fst
-      (Stdx.Intern.intern_bytes t.intern (Stdx.Codec.buffer t.scratch) ~pos:0
-         ~len:(Stdx.Codec.length t.scratch))
+  let intern_emitted table scratch emit g =
+    Stdx.Codec.reset scratch;
+    emit scratch g;
+    Stdx.Intern.intern_bytes table (Stdx.Codec.buffer scratch) ~pos:0
+      ~len:(Stdx.Codec.length scratch)
 
-  let create ?(memo = true) p ~x =
+  (* The store id of [g], interning it — with its fingerprint id and an
+     empty memo row — when new.  Caller holds [lock]. *)
+  let sid t g =
+    let id, fresh = intern_emitted t.keys t.scratch Global.emit_run_key g in
+    if fresh then begin
+      let print = fst (intern_emitted t.prints t.scratch Global.emit g) in
+      let states = extend (Atomic.get t.states) id g in
+      let prints_of = extend (Atomic.get t.prints_of) id 0 in
+      states.(id) <- g;
+      prints_of.(id) <- print;
+      Atomic.set t.states states;
+      Atomic.set t.prints_of prints_of;
+      t.succ <- extend t.succ (((id + 1) * t.stride) - 1) unknown
+    end;
+    id
+
+  let create p ~x =
     let t =
       {
         p;
-        x;
-        intern = Stdx.Intern.create ~size:64 ();
+        keys = Stdx.Intern.create ~size:64 ();
+        prints = Stdx.Intern.create ~size:64 ();
         scratch = Stdx.Codec.create ~size:256 ();
         stride = 4 + (2 * (p.Protocol.sender_alphabet + p.Protocol.receiver_alphabet));
-        succ = Hashtbl.create 64;
         lock = Mutex.create ();
-        g0 = Global.initial p ~input:(Array.of_list x);
-        memo;
+        states = Atomic.make [||];
+        prints_of = Atomic.make [||];
+        succ = [||];
         hits = 0;
       }
     in
-    if memo then ignore (sid t t.g0 : int);
+    ignore (sid t (Global.initial p ~input:(Array.of_list x)) : int);
     t
 
-  let initial t = (t.g0, 0)
+  (* Lock-free: see [states] and [prints_of] in the type. *)
+  let state t id = (Atomic.get t.states).(id)
+  let fingerprint t id = (Atomic.get t.prints_of).(id)
 
-  let apply t g id move =
-    if not t.memo then
-      (* The pre-memoisation engine: simulate unconditionally, no
-         table, no lock (nothing is mutated).  Kept for benchmarking
-         the memo's effect; ids are vestigial in this mode. *)
-      match Sim.apply t.p g move with
-      | exception Sim.Model_violation _ -> None
-      | g' -> Some (g', 0)
-    else begin
-      Mutex.lock t.lock;
+  let apply t id move =
+    let k = (id * t.stride) + move_code t.p move in
+    Mutex.lock t.lock;
+    let r = t.succ.(k) in
+    if r <> unknown then begin
+      t.hits <- t.hits + 1;
+      Mutex.unlock t.lock;
+      r
+    end
+    else
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.lock)
         (fun () ->
-          let sa = t.p.Protocol.sender_alphabet in
-          let ra = t.p.Protocol.receiver_alphabet in
-          let k = (id * t.stride) + move_code ~sa ~ra move in
-          match Hashtbl.find_opt t.succ k with
-          | Some r ->
-              t.hits <- t.hits + 1;
-              r
-          | None ->
-              let r =
-                match Sim.apply t.p g move with
-                | exception Sim.Model_violation _ -> None
-                | g' -> Some (g', sid t g')
-              in
-              Hashtbl.add t.succ k r;
-              r)
-    end
+          let r =
+            match Sim.apply t.p (state t id) move with
+            | exception Sim.Model_violation _ -> rejected
+            | g' -> sid t g'
+          in
+          t.succ.(k) <- r;
+          r)
 
-  let states t = Stdx.Intern.length t.intern
+  (* Counters read without the lock: exact once every search sharing
+     the store has returned ([Par.map] joins its domains first), a
+     lower bound while one still runs. *)
+  let states t = Stdx.Intern.length t.keys
 
   let hits t = t.hits
 end
@@ -241,6 +247,19 @@ module Stats = struct
     let s = t.s in
     Mutex.unlock t.lock;
     s
+
+  (* The frontier block every engine writes around its loop: on every
+     exit path, exceptions included, note the counters and release the
+     spill file. *)
+  let with_frontier ?mem_budget_bytes ?stats ~states f =
+    let frontier = Stdx.Frontier.create ?mem_budget_bytes () in
+    Fun.protect
+      ~finally:(fun () ->
+        Option.iter
+          (fun s -> note s (Stdx.Frontier.stats frontier) ~joint_states:(states ()))
+          stats;
+        Stdx.Frontier.close frontier)
+      (fun () -> f frontier)
 end
 
 (* Both arguments ascending (the [Chan.deliverable] contract): a
@@ -304,7 +323,52 @@ let expansions ~allow_drops ~send_cap ~recv_cap (g1 : Global.t) (g2 : Global.t) 
    analysis: a fair cycle must not owe its progress to the adversary
    eating messages, and the adversary is free never to play them. *)
 module Starved = struct
-  let no_key : key = (-1, -1)
+  (* The closed joint graph, recorded as the BFS expands ids — in
+     admission order, since the frontier is FIFO: per id its runs'
+     store ids, and its out-edges minus drops, id [i]'s at
+     [first.(i), first.(i + 1)). *)
+  type graph = {
+    mutable n : int;  (* recorded ids are exactly [0, n) *)
+    mutable sid1 : int array;
+    mutable sid2 : int array;
+    mutable first : int array;
+    mutable m : int;  (* recorded edges *)
+    mutable dst : int array;
+    mutable label : joint_move array;
+  }
+
+  let graph () =
+    { n = 0; sid1 = [||]; sid2 = [||]; first = [| 0 |]; m = 0; dst = [||]; label = [||] }
+
+  let vertex g id s1 s2 =
+    if id <> g.n then invalid_arg "Starved.vertex: ids must come in admission order";
+    g.sid1 <- extend g.sid1 id 0;
+    g.sid2 <- extend g.sid2 id 0;
+    g.first <- extend g.first (id + 1) 0;
+    g.sid1.(id) <- s1;
+    g.sid2.(id) <- s2;
+    g.first.(id + 1) <- g.m;
+    g.n <- id + 1
+
+  let is_drop = function
+    | Sync m | Only1 m | Only2 m -> (
+        match m with
+        | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> true
+        | Move.Wake_sender | Move.Wake_receiver | Move.Deliver_to_receiver _
+        | Move.Deliver_to_sender _ | Move.Restart_sender | Move.Restart_receiver
+        | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
+            false)
+
+  (* An out-edge of the id last passed to [vertex]. *)
+  let edge g jm dst =
+    if not (is_drop jm) then begin
+      g.dst <- extend g.dst g.m 0;
+      g.label <- extend g.label g.m jm;
+      g.dst.(g.m) <- dst;
+      g.label.(g.m) <- jm;
+      g.m <- g.m + 1;
+      g.first.(g.n) <- g.m
+    end
 
   type comp_stats = {
     mutable wake1 : bool;
@@ -314,12 +378,12 @@ module Starved = struct
     mutable ack1 : IntSet.t;
     mutable ack2 : IntSet.t;
     mutable has_edge : bool;
-    mutable debt0_key_1 : key option; (* a state with run-1 channels empty *)
-    mutable debt0_key_2 : key option;
-    mutable rep : key;
+    mutable rep : int;  (* the earliest-admitted id, -1 before any *)
+    mutable debt0_1 : int;  (* the earliest with run-1 channels empty *)
+    mutable debt0_2 : int;
   }
 
-  let fresh_stats rep =
+  let fresh_stats () =
     {
       wake1 = false;
       wake2 = false;
@@ -328,15 +392,17 @@ module Starved = struct
       ack1 = IntSet.empty;
       ack2 = IntSet.empty;
       has_edge = false;
-      debt0_key_1 = None;
-      debt0_key_2 = None;
-      rep;
+      rep = -1;
+      debt0_1 = -1;
+      debt0_2 = -1;
     }
 
-  (* Iterative Tarjan SCC over an integer-indexed graph.  The on-stack
-     flags live in a bit-packed set rather than a [bool array] — one
-     bit per vertex instead of a byte, and the GC never scans it. *)
-  let tarjan n succs =
+  (* Iterative Tarjan SCC over the recorded graph, from vertex 0 (the
+     root) up.  The on-stack flags live in a bit-packed set rather than
+     a [bool array] — one bit per vertex instead of a byte, and the GC
+     never scans it. *)
+  let tarjan g =
+    let n = g.n in
     let index = Array.make n (-1) in
     let lowlink = Array.make n 0 in
     let on_stack = Stdx.Bitset.create ~size:(max 1 n) () in
@@ -345,27 +411,26 @@ module Starved = struct
     let next_index = ref 0 in
     let next_comp = ref 0 in
     let strongconnect v =
-      (* Explicit work stack: (vertex, iterator position). *)
+      (* Explicit work stack: (vertex, its next edge). *)
       let work = Stack.create () in
-      Stack.push (v, 0) work;
+      Stack.push (v, g.first.(v)) work;
       index.(v) <- !next_index;
       lowlink.(v) <- !next_index;
       incr next_index;
       stack := v :: !stack;
       ignore (Stdx.Bitset.add on_stack v : bool);
       while not (Stack.is_empty work) do
-        let u, i = Stack.pop work in
-        let children = succs.(u) in
-        if i < Array.length children then begin
-          Stack.push (u, i + 1) work;
-          let w = children.(i) in
+        let u, e = Stack.pop work in
+        if e < g.first.(u + 1) then begin
+          Stack.push (u, e + 1) work;
+          let w = g.dst.(e) in
           if index.(w) = -1 then begin
             index.(w) <- !next_index;
             lowlink.(w) <- !next_index;
             incr next_index;
             stack := w :: !stack;
             ignore (Stdx.Bitset.add on_stack w : bool);
-            Stack.push (w, 0) work
+            Stack.push (w, g.first.(w)) work
           end
           else if Stdx.Bitset.mem on_stack w then
             lowlink.(u) <- min lowlink.(u) index.(w)
@@ -395,79 +460,41 @@ module Starved = struct
     done;
     (comp, !next_comp)
 
-  let find ~table_keys ~expand ~channel =
-    (* Index the states. *)
-    let keys = ref [] in
-    let globals : (key, Global.t * Global.t) Hashtbl.t = Hashtbl.create 1024 in
-    table_keys (fun key g1 g2 ->
-        keys := key :: !keys;
-        Hashtbl.replace globals key (g1, g2));
-    let key_arr = Array.of_list !keys in
-    let n = Array.length key_arr in
-    let idx_of : (key, int) Hashtbl.t = Hashtbl.create n in
-    Array.iteri (fun i k -> Hashtbl.replace idx_of k i) key_arr;
-    let is_drop = function
-      | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> true
-      | Move.Wake_sender | Move.Wake_receiver | Move.Deliver_to_receiver _
-      | Move.Deliver_to_sender _ | Move.Restart_sender | Move.Restart_receiver
-      | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
-          false
-    in
-    let is_drop_jm = function Sync m | Only1 m | Only2 m -> is_drop m in
-    let edges =
-      Array.map
-        (fun k -> Array.of_list (List.filter (fun (jm, _) -> not (is_drop_jm jm)) (expand k)))
-        key_arr
-    in
-    let succs =
-      Array.map
-        (fun es ->
-          Array.of_list
-            (List.filter_map (fun (_, k') -> Hashtbl.find_opt idx_of k') (Array.to_list es)))
-        edges
-    in
-    let comp, n_comps = tarjan n succs in
-    let stats = Array.init n_comps (fun _ -> fresh_stats no_key) in
-    Array.iteri
-      (fun i k -> if stats.(comp.(i)).rep = no_key then stats.(comp.(i)).rep <- k)
-      key_arr;
-    (* Intra-component edge statistics. *)
-    Array.iteri
-      (fun u es ->
-        let cu = comp.(u) in
-        Array.iter
-          (fun (jm, k') ->
-            match Hashtbl.find_opt idx_of k' with
-            | Some v when comp.(v) = cu -> begin
-                let s = stats.(cu) in
-                s.has_edge <- true;
-                match jm with
-                | Only1 Move.Wake_sender -> s.wake1 <- true
-                | Only2 Move.Wake_sender -> s.wake2 <- true
-                | Sync Move.Wake_receiver -> s.wake_r <- true
-                | Sync (Move.Deliver_to_receiver m) -> s.sync_dlv <- IntSet.add m s.sync_dlv
-                | Only1 (Move.Deliver_to_sender m) -> s.ack1 <- IntSet.add m s.ack1
-                | Only2 (Move.Deliver_to_sender m) -> s.ack2 <- IntSet.add m s.ack2
-                | _ -> ()
-              end
-            | _ -> ())
-          es)
-      edges;
-    (* Debt-free states per component (deleting channels only). *)
-    Array.iteri
-      (fun i k ->
-        let g1, g2 = Hashtbl.find globals k in
-        let s = stats.(comp.(i)) in
-        if run_debt g1 = 0 && s.debt0_key_1 = None then s.debt0_key_1 <- Some k;
-        if run_debt g2 = 0 && s.debt0_key_2 = None then s.debt0_key_2 <- Some k)
-      key_arr;
+  (* The witness is deterministic: the first qualifying component in
+     Tarjan order from the root, and in it the earliest-admitted
+     qualifying id — the component's first id (dup channels), or its
+     first id with the starved run's channels empty (deleting
+     channels). *)
+  let find g ~state1 ~state2 ~channel =
+    let comp, n_comps = tarjan g in
+    let stats = Array.init n_comps (fun _ -> fresh_stats ()) in
+    for u = 0 to g.n - 1 do
+      let cu = comp.(u) in
+      let s = stats.(cu) in
+      if s.rep < 0 then s.rep <- u;
+      if s.debt0_1 < 0 && run_debt (state1 g.sid1.(u)) = 0 then s.debt0_1 <- u;
+      if s.debt0_2 < 0 && run_debt (state2 g.sid2.(u)) = 0 then s.debt0_2 <- u;
+      (* Intra-component edge statistics. *)
+      for e = g.first.(u) to g.first.(u + 1) - 1 do
+        if comp.(g.dst.(e)) = cu then begin
+          s.has_edge <- true;
+          match g.label.(e) with
+          | Only1 Move.Wake_sender -> s.wake1 <- true
+          | Only2 Move.Wake_sender -> s.wake2 <- true
+          | Sync Move.Wake_receiver -> s.wake_r <- true
+          | Sync (Move.Deliver_to_receiver m) -> s.sync_dlv <- IntSet.add m s.sync_dlv
+          | Only1 (Move.Deliver_to_sender m) -> s.ack1 <- IntSet.add m s.ack1
+          | Only2 (Move.Deliver_to_sender m) -> s.ack2 <- IntSet.add m s.ack2
+          | _ -> ()
+        end
+      done
+    done;
     let dup = Chan.duplicates channel in
     let check s which =
-      let rep_g1, rep_g2 = Hashtbl.find globals s.rep in
-      let g = if which = 1 then rep_g1 else rep_g2 in
-      let wake_i = if which = 1 then s.wake1 else s.wake2 in
-      let acks_i = if which = 1 then s.ack1 else s.ack2 in
-      let debt0_i = if which = 1 then s.debt0_key_1 else s.debt0_key_2 in
+      let g, wake_i, acks_i, debt0_i =
+        if which = 1 then (state1 g.sid1.(s.rep), s.wake1, s.ack1, s.debt0_1)
+        else (state2 g.sid2.(s.rep), s.wake2, s.ack2, s.debt0_2)
+      in
       if (not s.has_edge) || Global.complete g || (not wake_i) || not s.wake_r then None
       else if dup then begin
         let fwd_ok =
@@ -478,41 +505,13 @@ module Starved = struct
         in
         if fwd_ok && rev_ok then Some (s.rep, which) else None
       end
-      else begin
-        match debt0_i with Some key -> Some (key, which) | None -> None
-      end
+      else if debt0_i >= 0 then Some (debt0_i, which)
+      else None
     in
-    let result = ref None in
-    Array.iter
-      (fun s ->
-        if !result = None then begin
-          match check s 1 with
-          | Some r -> result := Some r
-          | None -> ( match check s 2 with Some r -> result := Some r | None -> ())
-        end)
-      stats;
-    !result
+    Array.find_map (fun s -> match check s 1 with Some r -> Some r | None -> check s 2) stats
 end
 
-let path_to table key =
-  let rec go key acc =
-    match (Hashtbl.find table key).parent with
-    | None -> acc
-    | Some (pkey, move) -> go pkey (move :: acc)
-  in
-  go key []
-
 let is_prefix = Xset.is_prefix
-
-(* Wall-clock resource guard shared by the two searches: a [None]
-   budget never fires; an exceeded budget truncates the search exactly
-   like the state budget does ([closed = false]), so callers get a
-   partial outcome instead of an open-ended run. *)
-let make_deadline = function
-  | None -> fun () -> false
-  | Some seconds ->
-      let d = Sys.time () +. seconds in
-      fun () -> Sys.time () > d
 
 let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_000)
     ?allow_drops ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?max_seconds
@@ -520,187 +519,105 @@ let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_00
   let allow_drops =
     match allow_drops with Some b -> b | None -> Chan.deletes p.Protocol.channel
   in
-  let over_deadline = make_deadline max_seconds in
+  let over_deadline = Stdx.Clock.deadline max_seconds in
   let rs1, rs2 =
     match runstates with
     | Some rr -> rr
     | None -> (Runstate.create p ~x:x1, Runstate.create p ~x:x2)
   in
-  (* The per-pair joint namespace: ids here number states in the exact
-     order this pair's BFS generates them (the starvation pass's
-     representative choice iterates the table, so the numbering is
-     part of the observable behaviour).  Runstate ids live in a
-     separate per-x namespace and never leak into joint keys. *)
-  let intern = Stdx.Intern.create ~size:64 () in
-  let scratch = Stdx.Codec.create ~size:256 () in
-  let gid g =
-    Stdx.Codec.reset scratch;
-    Global.emit scratch g;
-    fst
-      (Stdx.Intern.intern_bytes intern (Stdx.Codec.buffer scratch) ~pos:0
-         ~len:(Stdx.Codec.length scratch))
+  (* A joint state is held as its runs' store ids and keyed by their
+     fingerprint ids — two array reads, no state emitted.  The key is
+     what the joint semantics compare (the runs' [Global.emit]
+     fingerprints); the first pair admitted under a key stands for
+     every pair with those fingerprints. *)
+  let table =
+    Bfs.create ~max_states
+      ~emit:(fun c (s1, s2) ->
+        Stdx.Codec.add_varint c (Runstate.fingerprint rs1 s1);
+        Stdx.Codec.add_varint c (Runstate.fingerprint rs2 s2))
+      ()
   in
-  let table : (key, node) Hashtbl.t = Hashtbl.create 64 in
-  (* The frontier holds only the joint ids, varint-packed into chunked
-     codec buffers — the node (globals, parent, depth) already lives in
-     [table], so queueing boxed keys or tuples would pay twice.  Under
-     a byte budget it spills full chunks to disk; [close] in the
-     [finally] releases the spill fd on every exit path. *)
-  let frontier = Stdx.Frontier.create ?mem_budget_bytes () in
-  Fun.protect
-    ~finally:(fun () ->
-      (match stats with
-      | Some s ->
-          Stats.note s (Stdx.Frontier.stats frontier)
-            ~joint_states:(Hashtbl.length table)
-      | None -> ());
-      Stdx.Frontier.close frontier)
-  @@ fun () ->
-  let g1_0, rsid1_0 = Runstate.initial rs1 in
-  let g2_0, rsid2_0 = Runstate.initial rs2 in
-  (* Historical id order: the g2 side of a joint key is interned
-     first (the original tuple construction evaluated right to
-     left). *)
-  let b0 = gid g2_0 in
-  let a0 = gid g1_0 in
-  let key0 = (a0, b0) in
-  Hashtbl.replace table key0
-    {
-      g1 = g1_0;
-      g2 = g2_0;
-      rsid1 = rsid1_0;
-      rsid2 = rsid2_0;
-      parent = None;
-      node_depth = 0;
-      edges = [];
-    };
-  Stdx.Frontier.push2 frontier a0 b0;
+  let graph = Starved.graph () in
+  Stats.with_frontier ?mem_budget_bytes ?stats ~states:(fun () -> Bfs.length table)
+  @@ fun frontier ->
   let result = ref None in
   let truncated = ref false in
-  let check_safety key (node : node) =
-    if !result = None then begin
-      if not (Global.safety_ok node.g1) then
-        result := Some (key, Safety { violated_run = 1 })
-      else if not (Global.safety_ok node.g2) then
-        result := Some (key, Safety { violated_run = 2 })
-    end
+  let check_safety id s1 s2 =
+    if not (Global.safety_ok (Runstate.state rs1 s1)) then
+      result := Some (id, Safety { violated_run = 1 })
+    else if not (Global.safety_ok (Runstate.state rs2 s2)) then
+      result := Some (id, Safety { violated_run = 2 })
   in
-  check_safety key0 (Hashtbl.find table key0);
+  (* Each store's initial state is its id 0. *)
+  let id0 = Bfs.intern table (0, 0) in
+  Bfs.root table id0 (0, 0);
+  check_safety id0 0 0;
+  Stdx.Frontier.push frontier id0;
   while (not (Stdx.Frontier.is_empty frontier)) && !result = None do
     if over_deadline () then begin
       truncated := true;
       Stdx.Frontier.clear frontier
     end
     else begin
-    let key = Stdx.Frontier.pop2 frontier in
-    let node = Hashtbl.find table key in
-    if node.node_depth >= depth then truncated := true
-    else begin
-      let edges = ref [] in
-      List.iter
-        (fun jm ->
-          if !result = None then begin
-            (* Each side steps through the shared per-x store, so the
-               [Sim.apply] under this (state, move) runs once per input
-               across the whole sweep.  An [Only1]/[Only2] move leaves
-               the other run's state physically unchanged: reuse the
-               parent's ids for that side instead of re-encoding it.
-               A [None] successor is a simulator-rejected move; the
-               joint move is skipped, as the violation used to be. *)
-            let succ =
-              match jm with
-              | Sync m -> (
-                  match Runstate.apply rs2 node.g2 node.rsid2 m with
-                  | None -> None
-                  | Some (g2', r2) -> (
-                      match Runstate.apply rs1 node.g1 node.rsid1 m with
-                      | None -> None
-                      | Some (g1', r1) ->
-                          let b = gid g2' in
-                          let a = gid g1' in
-                          Some (g1', g2', r1, r2, (a, b))))
-              | Only1 m -> (
-                  match Runstate.apply rs1 node.g1 node.rsid1 m with
-                  | None -> None
-                  | Some (g1', r1) ->
-                      let a = gid g1' in
-                      Some (g1', node.g2, r1, node.rsid2, (a, snd key)))
-              | Only2 m -> (
-                  match Runstate.apply rs2 node.g2 node.rsid2 m with
-                  | None -> None
-                  | Some (g2', r2) ->
-                      let b = gid g2' in
-                      Some (node.g1, g2', node.rsid1, r2, (fst key, b)))
-            in
-            match succ with
-            | None -> ()
-            | Some (g1', g2', rsid1, rsid2, key') ->
-                edges := (jm, key') :: !edges;
-                if not (Hashtbl.mem table key') then begin
-                  if Hashtbl.length table >= max_states then truncated := true
-                  else begin
-                    let node' =
-                      {
-                        g1 = g1';
-                        g2 = g2';
-                        rsid1;
-                        rsid2;
-                        parent = Some (key, jm);
-                        node_depth = node.node_depth + 1;
-                        edges = [];
-                      }
-                    in
-                    Hashtbl.replace table key' node';
-                    check_safety key' node';
-                    Stdx.Frontier.push2 frontier (fst key') (snd key')
+      let id = Stdx.Frontier.pop frontier in
+      let s1, s2 = Bfs.take table id in
+      Starved.vertex graph id s1 s2;
+      if Bfs.depth table id >= depth then truncated := true
+      else
+        List.iter
+          (fun jm ->
+            if !result = None then begin
+              (* Each side steps through the shared per-x store, so the
+                 [Sim.apply] under this (state, move) runs once per
+                 input across the whole sweep; an [Only1]/[Only2] move
+                 keeps the other side's store id.  A simulator-rejected
+                 move skips the joint move. *)
+              let s2' = match jm with Sync m | Only2 m -> Runstate.apply rs2 s2 m | Only1 _ -> s2 in
+              let s1' =
+                if s2' = Runstate.rejected then Runstate.rejected
+                else match jm with Sync m | Only1 m -> Runstate.apply rs1 s1 m | Only2 _ -> s1
+              in
+              if s1' <> Runstate.rejected then begin
+                let pair = (s1', s2') in
+                let id' = Bfs.intern table pair in
+                Starved.edge graph jm id';
+                if not (Bfs.mem table id') then
+                  if Bfs.admit table id' pair ~parent:id ~move:jm then begin
+                    check_safety id' s1' s2';
+                    Stdx.Frontier.push frontier id'
                   end
-                end
-          end)
-        (expansions ~allow_drops ~send_cap:max_sends_per_sender
-           ~recv_cap:max_sends_per_receiver node.g1 node.g2);
-      node.edges <- List.rev !edges
-    end
+                  else truncated := true
+              end
+            end)
+          (expansions ~allow_drops ~send_cap:max_sends_per_sender
+             ~recv_cap:max_sends_per_receiver (Runstate.state rs1 s1) (Runstate.state rs2 s2))
     end
   done;
-  let states_explored = Hashtbl.length table in
+  let states_explored = Bfs.length table in
+  let witness id kind =
+    let moves = snd (Bfs.path table id) in
+    Witness { x1; x2; kind; joint_moves = moves; depth = List.length moves; states_explored }
+  in
   match !result with
-  | Some (key, kind) ->
-      let moves = path_to table key in
-      Witness
-        { x1; x2; kind; joint_moves = moves; depth = List.length moves; states_explored }
-  | None ->
-      let closed = not !truncated in
-      if not closed then No_violation { closed = false; states_explored }
-      else begin
-        (* The joint space is exhausted with no safety violation, so no
-           reachable joint output passes the common prefix.  Look for a
-           starvation witness: a cycle the adversary can spin forever
-           that is *fair* for one run — its sender and the receiver
-           keep being scheduled and everything it sends keeps being
-           delivered — while the (frozen) output leaves that run
-           incomplete.  Projected on that run, the lasso is a fair run
-           violating liveness.  Every node of the closed graph was
-           expanded by the BFS, so its cached edges are the full
-           (non-violating) successor list — no second [Sim.apply]
-           sweep. *)
-        match
-          Starved.find ~table_keys:(fun f -> Hashtbl.iter (fun k n -> f k n.g1 n.g2) table)
-            ~expand:(fun key -> (Hashtbl.find table key).edges)
-            ~channel:p.Protocol.channel
-        with
-        | Some (key, starved_run) ->
-            let moves = path_to table key in
-            Witness
-              {
-                x1;
-                x2;
-                kind = Starvation { starved_run };
-                joint_moves = moves;
-                depth = List.length moves;
-                states_explored;
-              }
-        | None -> No_violation { closed = true; states_explored }
-      end
+  | Some (id, kind) -> witness id kind
+  | None when !truncated -> No_violation { closed = false; states_explored }
+  | None -> (
+      (* The joint space is exhausted with no safety violation, so no
+         reachable joint output passes the common prefix.  Look for a
+         starvation witness: a cycle the adversary can spin forever
+         that is *fair* for one run — its sender and the receiver keep
+         being scheduled and everything it sends keeps being delivered
+         — while the (frozen) output leaves that run incomplete.
+         Projected on that run, the lasso is a fair run violating
+         liveness.  Every id of the closed graph was expanded, so its
+         recorded edges are its full (non-drop) successor list — no
+         second [Sim.apply] sweep. *)
+      match
+        Starved.find graph ~state1:(Runstate.state rs1) ~state2:(Runstate.state rs2)
+          ~channel:p.Protocol.channel
+      with
+      | Some (id, starved_run) -> witness id (Starvation { starved_run })
+      | None -> No_violation { closed = true; states_explored })
 
 (* --- The symmetry quotient -------------------------------------------
 
@@ -822,17 +739,10 @@ let search_single (p : Protocol.t) ~x ?(depth = 64) ?(max_states = 200_000) ?all
     match allow_drops with Some b -> b | None -> Chan.deletes p.Protocol.channel
   in
   let keep = Bfs.move_filter ~allow_drops ~max_sends_per_sender ~max_sends_per_receiver in
-  let over_deadline = make_deadline max_seconds in
-  let table = Bfs.create ~max_states () in
-  let frontier = Stdx.Frontier.create ?mem_budget_bytes () in
-  Fun.protect
-    ~finally:(fun () ->
-      (match stats with
-      | Some s ->
-          Stats.note s (Stdx.Frontier.stats frontier) ~joint_states:(Bfs.length table)
-      | None -> ());
-      Stdx.Frontier.close frontier)
-  @@ fun () ->
+  let over_deadline = Stdx.Clock.deadline max_seconds in
+  let table = Bfs.create ~emit:Global.emit ~max_states () in
+  Stats.with_frontier ?mem_budget_bytes ?stats ~states:(fun () -> Bfs.length table)
+  @@ fun frontier ->
   let g0 = Global.initial p ~input:(Array.of_list x) in
   let id0 = Bfs.intern table g0 in
   Bfs.root table id0 g0;

@@ -27,21 +27,22 @@
     fairness.  For protocols meeting the [α(m)] bound the search
     closes with neither — the experimental face of tightness.
 
-    Engine internals: both searches emit every generated global state
-    into a reusable binary codec buffer ({!Stdx.Codec}) and hash-cons
-    the bytes in place into a compact int id
-    ({!Stdx.Intern.intern_bytes}), keying their tables, queues, and
-    parent pointers on those ids — [(int * int)] pairs for the joint
-    search — so a state's fingerprint is hashed at most once, never
-    re-built for an already-seen state, and never re-compared.  BFS
-    frontiers are chunked varint queues ({!Stdx.Frontier}) of bare ids
-    rather than boxed queues.  {!search_single} keeps its ids in the
-    shared single-run table ({!Kernel.Bfs}), which holds a state only
-    until it is expanded; the joint BFS keeps every node, because its
-    starvation pass re-reads the closed graph's globals and cached
-    expansions.  Single-run transitions of the joint search are
-    memoised per input in a {!Runstate} store that {!search} shares
-    across all pairs of a sweep.
+    Engine internals: both searches run on the dense-id search table
+    {!Kernel.Bfs}, which interns each generated state's key into a
+    compact int id, keeps parent, move and depth per id in flat arrays,
+    and holds a state only until it is expanded.  BFS frontiers are
+    chunked varint queues ({!Stdx.Frontier}) of bare ids, one per
+    state.  {!search_single} keys a state by its [Global.emit]
+    fingerprint.  The joint search holds a joint state as its two
+    runs' ids in a per-input {!Runstate} store and keys it by the two
+    fingerprint ids the stores cached when those ids were new — two
+    array reads, no state emitted or hashed; {!search} shares the
+    stores across all pairs of a sweep, so each single-run transition
+    is simulated once per input.  For each expanded id the joint
+    search records its store-id pair and its out-edges in admission
+    order; the starvation pass reads those arrays, so a state's
+    fingerprint is hashed at most once and no successor is simulated
+    twice.
 
     With [~symm:true], searches on protocols declaring an
     {!Kernel.Symm.equivariance} are quotiented by data-alphabet
@@ -96,31 +97,40 @@ type outcome =
     protocols may close over their input tape (the census families
     do), so stores are never shared across inputs.
 
+    Per id a store keeps the state, the id of its [Global.emit]
+    fingerprint (interned once, when the id is new) and its memoised
+    successor ids, so a memo hit returns an id without allocating.
     Stores are mutex-guarded; sharing one across the domains of a
     parallel sweep is safe, and at [jobs = 1] the uncontended lock is
     noise. *)
 module Runstate : sig
   type t
 
-  val create : ?memo:bool -> Kernel.Protocol.t -> x:int list -> t
+  val create : Kernel.Protocol.t -> x:int list -> t
   (** A fresh store for runs of [p] on input [x]; the initial state is
-      interned as id 0.  [memo:false] disables the cache — every
-      {!apply} simulates, reproducing the pre-memoisation engine's
-      cost profile.  A diagnostic/benchmarking knob; the outcome of
-      any search is the same either way. *)
+      interned as id 0, the only root a store has: every other id is
+      reached through {!apply}. *)
 
-  val initial : t -> Kernel.Global.t * int
-  (** The initial global state and its id (always 0) — the only root a
-      store has: every other id is reached through {!apply}. *)
-
-  val apply :
-    t -> Kernel.Global.t -> int -> Kernel.Move.t -> (Kernel.Global.t * int) option
-  (** [apply t g id move] is the successor of [g] (whose store id is
-      [id]) under [move], with its id — memoised per [(id, move)].
-      [None] when the simulator rejects the move
-      ([Sim.Model_violation]); the rejection is cached too.
+  val apply : t -> int -> Kernel.Move.t -> int
+  (** [apply t id move] is the id of the successor of state [id] under
+      [move], memoised per [(id, move)]; {!rejected} when the
+      simulator refuses the move ([Sim.Model_violation]), which is
+      cached too.
       @raise Invalid_argument on a corruption move: corrupted states
       are search roots, never transitions. *)
+
+  val rejected : int
+  (** The id {!apply} returns for a refused move: negative, never a
+      state's. *)
+
+  val state : t -> int -> Kernel.Global.t
+  (** The state with this id.  Lock-free and safe from any domain for
+      an id the store handed out. *)
+
+  val fingerprint : t -> int -> int
+  (** The id of the state's [Global.emit] fingerprint among this
+      store's states: equal exactly when the fingerprints are.
+      Lock-free, like {!state}. *)
 
   val states : t -> int
   (** Distinct states interned so far. *)
@@ -164,9 +174,21 @@ module Stats : sig
 
   val note : t -> Stdx.Frontier.stats -> joint_states:int -> unit
   (** Merge one finished search's frontier counters and state-table
-      size into the accumulator — the seam other engines
-      ({!Core.Stab}'s corrupted-root BFS) use to report through the
-      same channel as the pair searches. *)
+      size into the accumulator. *)
+
+  val with_frontier :
+    ?mem_budget_bytes:int ->
+    ?stats:t ->
+    states:(unit -> int) ->
+    (Stdx.Frontier.t -> 'a) ->
+    'a
+  (** [with_frontier ?mem_budget_bytes ?stats ~states f] runs one
+      search's loop [f] on a fresh frontier; on every exit path,
+      exceptions included, it {!note}s the frontier's counters and
+      [states ()] into [stats] and closes the frontier, releasing any
+      spill file.  The seam every BFS engine ({!search_pair},
+      {!search_single}, {!Core.Stab}'s corrupted-root search) reports
+      through. *)
 end
 
 val search_pair :
@@ -196,7 +218,7 @@ val search_pair :
     grow without bound and the joint space would never close.
     Defaults: [depth = 64], [max_states = 200_000], [allow_drops]
     follows the protocol's channel kind.  [max_seconds] adds a
-    CPU-time guard: an exceeded budget truncates the search
+    wall-clock guard ({!Stdx.Clock}): an exceeded budget truncates the search
     ([closed = false]) like the state budget does, so a partial
     outcome comes back instead of an open-ended run.  [runstates]
     supplies the two

@@ -1076,7 +1076,7 @@ let e12_recoverability ?(input = [ 0; 1 ]) () =
    actually searched (up to 4! = 24 of the pairs share one search). *)
 
 let e14_m4_sweep ?(m = 4) ?(caps = 3) ?(depth = 200) () =
-  let t0 = Sys.time () in
+  let t0 = Stdx.Clock.now () in
   let alpha_m = Alpha.alpha_exn m in
   let xs = Norep_seq.enumerate ~m in
   let pairs = Attack.eligible_pairs ~xs in
@@ -1099,7 +1099,7 @@ let e14_m4_sweep ?(m = 4) ?(caps = 3) ?(depth = 200) () =
     Attack.search p ~xs ~depth ~max_sends_per_sender:caps ~max_sends_per_receiver:caps
       ~symm:true ()
   in
-  let elapsed = Sys.time () -. t0 in
+  let elapsed = Stdx.Clock.now () -. t0 in
   (* One row per unordered length class: the pair count explodes with
      m, so the table aggregates — per-pair rows are E2/E3's job. *)
   let classes : (int * int, (int * int * int * int) ref) Hashtbl.t = Hashtbl.create 16 in
@@ -1220,12 +1220,12 @@ let e16_m5_spill ?(caps = 4) ?(depth = 200) ?(budget = 20_000) () =
   let pairs = Attack.eligible_pairs ~xs in
   let run mem_budget_bytes =
     let stats = Attack.Stats.create () in
-    let t0 = Sys.time () in
+    let t0 = Stdx.Clock.now () in
     let outcomes, witness =
       Attack.search p ~xs ~depth ~max_sends_per_sender:caps ~max_sends_per_receiver:caps
         ~mem_budget_bytes ~stats ()
     in
-    let elapsed = Sys.time () -. t0 in
+    let elapsed = Stdx.Clock.now () -. t0 in
     (outcomes, witness, Attack.Stats.snapshot stats, elapsed)
   in
   let o_spill, w_spill, s_spill, t_spill = run budget in

@@ -26,7 +26,7 @@ let recoverability (p : Protocol.t) ~input ?(depth = 80) ?(max_states = 200_000)
      is not really out of copies), so a state where the filter rejected
      an enabled move is marked capped: it and its ancestors must not be
      declared dead. *)
-  let table = Bfs.create ~max_states () in
+  let table = Bfs.create ~emit:Global.emit ~max_states () in
   let complete = Stdx.Bitset.create () in
   let expanded = Stdx.Bitset.create () in
   let capped = Stdx.Bitset.create () in

@@ -108,16 +108,9 @@ let search ?(depth = 200) ?(max_states = 200_000) ?(allow_drops = true)
   let keep = Bfs.move_filter ~allow_drops ~max_sends_per_sender ~max_sends_per_receiver in
   (* One BFS over the union of every corrupted root's reachable space,
      with run keys deduping states across roots. *)
-  let table = Bfs.create ~run_key:true ~max_states () in
-  let frontier = Stdx.Frontier.create ?mem_budget_bytes () in
-  Fun.protect
-    ~finally:(fun () ->
-      (match stats with
-      | Some s ->
-          Attack.Stats.note s (Stdx.Frontier.stats frontier) ~joint_states:(Bfs.length table)
-      | None -> ());
-      Stdx.Frontier.close frontier)
-  @@ fun () ->
+  let table = Bfs.create ~emit:Global.emit_run_key ~max_states () in
+  Attack.Stats.with_frontier ?mem_budget_bytes ?stats ~states:(fun () -> Bfs.length table)
+  @@ fun frontier ->
   let result = ref None in
   let truncated = ref false in
   (* The corrupted start each root id grew from; roots take ids 0, 1, … *)

@@ -200,13 +200,7 @@ let opt_int = function Some v -> Report.int v | None -> Report.str "-"
 
 let run ?jobs ?max_seconds ~seed cases =
   let jobs = match jobs with Some j -> j | None -> Core.Par.default_jobs () in
-  let deadline =
-    match max_seconds with
-    | None -> fun () -> false
-    | Some s ->
-        let d = Sys.time () +. s in
-        fun () -> Sys.time () > d
-  in
+  let deadline = Stdx.Clock.deadline max_seconds in
   let indexed = List.mapi (fun i c -> (i, c)) cases in
   let base = Rng.create seed in
   let outcomes, skipped =

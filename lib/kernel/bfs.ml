@@ -1,22 +1,22 @@
 module Chan = Channel.Chan
 
-type t = {
+type ('a, 'm) t = {
   intern : Stdx.Intern.t;
   scratch : Stdx.Codec.t;
-  emit : Stdx.Codec.t -> Global.t -> unit;
+  emit : Stdx.Codec.t -> 'a -> unit;
   max_states : int;
   mutable n : int;  (* admitted ids are exactly [0, n) *)
   mutable parents : int array;  (* -1 at roots *)
-  mutable moves : Move.t array;
+  mutable moves : 'm array;  (* written on admission; roots have none *)
   mutable depths : int array;
-  mutable held : Global.t option array;  (* None once taken *)
+  mutable held : 'a option array;  (* None once taken *)
 }
 
-let create ?(run_key = false) ~max_states () =
+let create ~emit ~max_states () =
   {
     intern = Stdx.Intern.create ~size:64 ();
     scratch = Stdx.Codec.create ~size:256 ();
-    emit = (if run_key then Global.emit_run_key else Global.emit);
+    emit;
     max_states;
     n = 0;
     parents = [||];
@@ -27,39 +27,44 @@ let create ?(run_key = false) ~max_states () =
 
 (* Emitted into one reusable buffer and interned in place: a repeat
    state costs a hash and a compare, and allocates no string. *)
-let intern t g =
+let intern t v =
   Stdx.Codec.reset t.scratch;
-  t.emit t.scratch g;
+  t.emit t.scratch v;
   fst
     (Stdx.Intern.intern_bytes t.intern (Stdx.Codec.buffer t.scratch) ~pos:0
        ~len:(Stdx.Codec.length t.scratch))
 
 let mem t id = id < t.n
 
-let record t id g ~parent ~move ~depth =
+(* [a] with room for index [id]; new slots hold [fill]. *)
+let extend a id fill =
+  if id < Array.length a then a else Array.append a (Array.make (max 64 (id + 1)) fill)
+
+let record t id v ~parent ~depth =
   if id <> t.n then invalid_arg (Printf.sprintf "Bfs: id %d is not the next to admit" id);
-  if id = Array.length t.parents then begin
-    let extend a fill = Array.append a (Array.make (max 64 id) fill) in
-    t.parents <- extend t.parents (-1);
-    t.moves <- extend t.moves Move.Wake_sender;
-    t.depths <- extend t.depths 0;
-    t.held <- extend t.held None
-  end;
+  t.parents <- extend t.parents id (-1);
+  t.depths <- extend t.depths id 0;
+  t.held <- extend t.held id None;
   t.parents.(id) <- parent;
-  t.moves.(id) <- move;
   t.depths.(id) <- depth;
-  t.held.(id) <- Some g;
+  t.held.(id) <- Some v;
   t.n <- id + 1
 
-let root t id g = record t id g ~parent:(-1) ~move:Move.Wake_sender ~depth:0
+let root t id v = record t id v ~parent:(-1) ~depth:0
 
-let admit t id g ~parent ~move =
-  t.n < t.max_states && (record t id g ~parent ~move ~depth:(t.depths.(parent) + 1); true)
+let admit t id v ~parent ~move =
+  t.n < t.max_states
+  && begin
+       record t id v ~parent ~depth:(t.depths.(parent) + 1);
+       t.moves <- extend t.moves id move;
+       t.moves.(id) <- move;
+       true
+     end
 
 let take t id =
-  let g = Option.get t.held.(id) in
+  let v = Option.get t.held.(id) in
   t.held.(id) <- None;
-  g
+  v
 
 let depth t id = t.depths.(id)
 

@@ -1,44 +1,48 @@
-(** The dense-id search table of the single-run BFS engines
-    ({!Core.Stab.search}, {!Core.Attack.search_single} and the forward
-    pass of {!Core.Spec.recoverability}); each keeps its own frontier
-    of bare ids and its own violation rule.
+(** The dense-id search table of the BFS engines: {!Core.Stab.search},
+    {!Core.Attack.search_single}, {!Core.Attack.search_pair} and the
+    forward pass of {!Core.Spec.recoverability}; each keeps its own
+    frontier of bare ids and its own violation rule.
 
-    Fingerprints ({!Global.emit}, or {!Global.emit_run_key} under
-    [~run_key:true]) intern to dense ids in first-seen order, and an id
-    is admitted exactly when it is below {!length}.  Per id the table
+    The table is generic over the value it holds per state (['a]: a
+    {!Global.t} for the single-run engines, a pair of store ids for the
+    joint search) and over its move type (['m]).  A caller-supplied
+    emitter writes a value's key into a codec ({!Global.emit},
+    {!Global.emit_run_key}, or the joint search's pair of fingerprint
+    ids); keys intern to dense ids in first-seen order, and an id is
+    admitted exactly when it is below {!length}.  Per id the table
     keeps the parent, the move and the depth in flat arrays; it holds
-    the {!Global.t} only from admission until {!take}. *)
+    the value only from admission until {!take}. *)
 
-type t
+type ('a, 'm) t
 
-val create : ?run_key:bool -> max_states:int -> unit -> t
+val create : emit:(Stdx.Codec.t -> 'a -> unit) -> max_states:int -> unit -> ('a, 'm) t
 (** {!admit} refuses once [max_states] states, roots included, are in. *)
 
-val intern : t -> Global.t -> int
-(** The id of the state's fingerprint; a new one is the next id. *)
+val intern : ('a, 'm) t -> 'a -> int
+(** The id of the value's key; a new key is the next id. *)
 
-val mem : t -> int -> bool
+val mem : ('a, 'm) t -> int -> bool
 (** Whether the id is admitted. *)
 
-val root : t -> int -> Global.t -> unit
+val root : ('a, 'm) t -> int -> 'a -> unit
 (** Admit a search root at depth 0, whatever the budget.
     @raise Invalid_argument unless the id is the next to admit. *)
 
-val admit : t -> int -> Global.t -> parent:int -> move:Move.t -> bool
+val admit : ('a, 'm) t -> int -> 'a -> parent:int -> move:'m -> bool
 (** Admit a state reached from [parent] by [move], one level deeper;
     [false] if the budget is spent.
     @raise Invalid_argument unless the id is the next to admit. *)
 
-val take : t -> int -> Global.t
-(** The held state, releasing its slot: called once, to expand it.
+val take : ('a, 'm) t -> int -> 'a
+(** The held value, releasing its slot: called once, to expand it.
     @raise Invalid_argument if already taken. *)
 
-val depth : t -> int -> int
+val depth : ('a, 'm) t -> int -> int
 
-val path : t -> int -> int * Move.t list
+val path : ('a, 'm) t -> int -> int * 'm list
 (** The id's root and the moves from it to the id. *)
 
-val length : t -> int
+val length : ('a, 'm) t -> int
 
 val move_filter :
   allow_drops:bool ->

@@ -75,7 +75,7 @@ val emit_run_key : Stdx.Codec.t -> t -> unit
     feed back into evolution — so states equal under this key have
     behaviourally interchangeable futures.  The memo key of
     {!Core.Attack.Runstate} and the state key of the corrupted-root
-    search ({!Bfs.create} [~run_key:true]). *)
+    search {!Core.Stab.search}. *)
 
 val encode_with_r_view : t -> string
 (** String form of {!emit_with_r_view}. *)

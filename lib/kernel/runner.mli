@@ -32,8 +32,8 @@ val run :
     [post_roll] extra moves, default 0 — knowledge measurements want a
     tail), quiescence, step budget, or strategy surrender.  Every
     transition is recorded in the trace.  [max_seconds] adds a
-    CPU-time guard on top of the step budget (checked every 256
-    steps); exceeding either reports [Budget]. *)
+    wall-clock guard ({!Stdx.Clock}) on top of the step budget
+    (checked every 256 steps); exceeding either reports [Budget]. *)
 
 val run_seeds :
   Protocol.t ->
@@ -45,7 +45,7 @@ val run_seeds :
   ?post_roll:int ->
   unit ->
   result list
-(** One run per seed.  [max_seconds] bounds {e each} run's CPU time,
+(** One run per seed.  [max_seconds] bounds {e each} run's wall time,
     exactly as on {!run} — a battery of [n] seeds may therefore use up
     to [n * max_seconds] in total. *)
 

@@ -61,7 +61,7 @@ type live = {
   spec : session;
   index : int;
   builder : Trace.builder;
-  deadline : float option;
+  over_deadline : unit -> bool;
   mutable steps : int;
   mutable roll_left : int;
 }
@@ -75,9 +75,9 @@ let admit index (spec : session) =
     spec;
     index;
     builder;
-    (* CPU-time deadline, fixed at admission; checked every 256 steps
-       so the hot loop stays syscall-free. *)
-    deadline = Option.map (fun s -> Sys.time () +. s) spec.max_seconds;
+    (* Wall-clock deadline, fixed at admission; checked every 256
+       steps so the hot loop stays syscall-free. *)
+    over_deadline = Stdx.Clock.deadline spec.max_seconds;
     steps = 0;
     roll_left = (if Global.complete (Trace.current builder) then spec.post_roll else -1);
   }
@@ -88,12 +88,8 @@ let admit index (spec : session) =
    reproduces its traces byte for byte. *)
 let step l =
   let p = l.spec.protocol in
-  let over_deadline =
-    match l.deadline with
-    | Some d -> l.steps land 255 = 0 && Sys.time () > d
-    | None -> false
-  in
-  if l.steps >= l.spec.max_steps || over_deadline then Some Budget
+  if l.steps >= l.spec.max_steps || (l.steps land 255 = 0 && l.over_deadline ()) then
+    Some Budget
   else begin
     let g = Trace.current l.builder in
     if Global.complete g && l.roll_left <= 0 then Some Completed

@@ -21,10 +21,10 @@
     sequential {!Runner.run} calls, at every timeslice and in any
     interleaving (the deterministic-interleaving tests pin this at
     several [--jobs] counts).  The one advisory exception is
-    [max_seconds]: the CPU-time guard reads the process clock, which
-    in a batch also advances while {e other} sessions run, so a
-    wall-budgeted session may retire earlier in a crowded batch —
-    traces up to that point are still identical.
+    [max_seconds]: the guard reads the wall clock ({!Stdx.Clock}),
+    which in a batch also advances while {e other} sessions run, so a
+    budgeted session may retire earlier in a crowded batch — traces up
+    to that point are still identical.
 
     The queue policy is deliberately a seam: round-robin is the only
     policy today, but weighted and adversarial-priority schedules slot

@@ -1,7 +1,6 @@
-(* Tests for the dense-id search table and the single-run BFS engines
-   built on it: table invariants, then differential oracles — each
-   engine's closed state count against an independent exploration of
-   the same space. *)
+(* Tests for the dense-id search table and the BFS engines built on
+   it: table invariants, then differential oracles — each engine's
+   state count against an independent exploration of the same space. *)
 
 module Bfs = Kernel.Bfs
 module Global = Kernel.Global
@@ -23,7 +22,7 @@ let norep () = Protocols.Norep.del ~m:2
 let test_admission_is_dense () =
   let p = norep () in
   let g0 = Global.initial p ~input:[| 0; 1 |] in
-  let t = Bfs.create ~max_states:2 () in
+  let t = Bfs.create ~emit:Global.emit ~max_states:2 () in
   let id0 = Bfs.intern t g0 in
   check Alcotest.int "first id" 0 id0;
   check Alcotest.bool "interned is not admitted" false (Bfs.mem t id0);
@@ -49,7 +48,7 @@ let test_admission_is_dense () =
 let test_take_releases () =
   let p = norep () in
   let g0 = Global.initial p ~input:[| 0 |] in
-  let t = Bfs.create ~max_states:10 () in
+  let t = Bfs.create ~emit:Global.emit ~max_states:10 () in
   let id = Bfs.intern t g0 in
   Bfs.root t id g0;
   check Alcotest.bool "held state comes back" true (Bfs.take t id == g0);
@@ -60,7 +59,7 @@ let test_take_releases () =
 let test_out_of_order_admission_rejected () =
   let p = norep () in
   let g0 = Global.initial p ~input:[| 0 |] in
-  let t = Bfs.create ~max_states:10 () in
+  let t = Bfs.create ~emit:Global.emit ~max_states:10 () in
   check Alcotest.bool "an id that was never interned" true
     (match Bfs.root t 3 g0 with exception Invalid_argument _ -> true | () -> false)
 
@@ -225,6 +224,116 @@ let test_stab_matches_reference () =
     (instances ());
   check Alcotest.bool "most seamed instances compared" true (!compared >= 35)
 
+(* The naive reference for the joint search: a stdlib Hashtbl keyed on
+   both runs' [Global.encode] strings and a Queue of (state pair,
+   depth), with [Sim.apply] on every joint move and the pairing rules
+   written out here.  The receiver's moves step both runs: its wake,
+   under the receiver cap read on run 1, and the delivery of a message
+   deliverable in both runs.  Each run's sender wake (under the sender
+   cap), deliveries to its sender and, on deleting channels, its drops
+   step that run alone.  Moves are tried in [Sim.enabled]'s order —
+   the receiver's first, then run 1's, then run 2's — and the search
+   stops at the first unsafe pair it admits, so even a truncated or
+   violating search must count exactly the engine's states. *)
+let reference_pair p ~x1 ~x2 ~depth ~max_states ~caps =
+  let allow_drops = Chan.deletes p.Protocol.channel in
+  let receiver_moves (g1 : Global.t) (g2 : Global.t) =
+    List.filter
+      (function
+        | Move.Wake_receiver -> Chan.sent_total g1.Global.chan_rs < caps
+        | Move.Deliver_to_receiver _ as m -> List.mem m (Sim.enabled p g2)
+        | _ -> false)
+      (Sim.enabled p g1)
+  in
+  let sender_moves (g : Global.t) =
+    List.filter
+      (function
+        | Move.Wake_sender -> Chan.sent_total g.Global.chan_sr < caps
+        | Move.Deliver_to_sender _ -> true
+        | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> allow_drops
+        | _ -> false)
+      (Sim.enabled p g)
+  in
+  let step g m =
+    match Sim.apply p g m with g' -> Some g' | exception Sim.Model_violation _ -> None
+  in
+  let seen = Hashtbl.create 1024 in
+  let queue = Queue.create () in
+  let violation = ref None and truncated = ref false in
+  let visit (g1, g2) d =
+    let key = (Global.encode g1, Global.encode g2) in
+    if !violation = None && not (Hashtbl.mem seen key) then
+      if Hashtbl.length seen >= max_states then truncated := true
+      else begin
+        Hashtbl.add seen key ();
+        if not (Global.safety_ok g1) then violation := Some (1, d)
+        else if not (Global.safety_ok g2) then violation := Some (2, d);
+        Queue.add ((g1, g2), d) queue
+      end
+  in
+  visit
+    (Global.initial p ~input:(Array.of_list x1), Global.initial p ~input:(Array.of_list x2))
+    0;
+  while !violation = None && not (Queue.is_empty queue) do
+    let (g1, g2), d = Queue.take queue in
+    if d >= depth then truncated := true
+    else begin
+      let next pair = Option.iter (fun pair -> visit pair (d + 1)) pair in
+      let both m =
+        Option.bind (step g1 m) (fun g1' -> Option.map (fun g2' -> (g1', g2')) (step g2 m))
+      in
+      List.iter (fun m -> next (both m)) (receiver_moves g1 g2);
+      List.iter (fun m -> next (Option.map (fun g1' -> (g1', g2)) (step g1 m))) (sender_moves g1);
+      List.iter (fun m -> next (Option.map (fun g2' -> (g1, g2')) (step g2 m))) (sender_moves g2)
+    end
+  done;
+  match !violation with
+  | Some (run, d) -> Error (run, d, Hashtbl.length seen)
+  | None -> Ok (not !truncated, Hashtbl.length seen)
+
+(* Every registry protocol on every channel its builder accepts, on
+   input pairs with a common prefix (coded's allowable set holds only
+   the inputs of length at most one): search_pair reports the
+   reference's closed flag and state count, and a safety witness the
+   reference's violated run and depth.  A starvation witness is a
+   closed search the reference also closes.  The caps and budget keep
+   the battery small while still meeting every kind of outcome. *)
+let test_pair_matches_reference () =
+  let caps = 3 and depth = 40 and max_states = 3_000 in
+  let kinds = Hashtbl.create 4 in
+  let engine p ~x1 ~x2 =
+    match
+      Attack.search_pair p ~x1 ~x2 ~depth ~max_states ~max_sends_per_sender:caps
+        ~max_sends_per_receiver:caps ()
+    with
+    | Attack.Witness { kind = Attack.Safety { violated_run }; depth; states_explored; _ } ->
+        Hashtbl.replace kinds "safety" ();
+        Error (violated_run, depth, states_explored)
+    | Attack.Witness { kind = Attack.Starvation _; states_explored; _ } ->
+        Hashtbl.replace kinds "starvation" ();
+        Ok (true, states_explored)
+    | Attack.No_violation { closed; states_explored } ->
+        Hashtbl.replace kinds (if closed then "closed" else "truncated") ();
+        Ok (closed, states_explored)
+  in
+  List.iter
+    (fun (name, _, p) ->
+      let pairs =
+        if String.starts_with ~prefix:"coded/" name then [ ([ 0 ], [ 1 ]) ]
+        else [ ([ 0; 1; 1 ], [ 0; 1; 0 ]); ([ 0; 1 ], [ 0; 0 ]) ]
+      in
+      List.iter
+        (fun (x1, x2) ->
+          check
+            Alcotest.(result (pair bool int) (triple int int int))
+            (name ^ ": joint search")
+            (reference_pair p ~x1 ~x2 ~depth ~max_states ~caps)
+            (engine p ~x1 ~x2))
+        pairs)
+    (instances ());
+  check Alcotest.int "safety, starvation, closed and truncated outcomes all compared" 4
+    (Hashtbl.length kinds)
+
 let () =
   Alcotest.run "bfs"
     [
@@ -240,5 +349,6 @@ let () =
           Alcotest.test_case "search_single and recoverability vs explore" `Quick
             test_single_and_spec_match_explore;
           Alcotest.test_case "stab search vs reference bfs" `Quick test_stab_matches_reference;
+          Alcotest.test_case "joint search vs reference bfs" `Quick test_pair_matches_reference;
         ] );
     ]

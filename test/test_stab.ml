@@ -90,9 +90,8 @@ let test_corrupt_never_enabled () =
 let test_runstate_rejects_corrupt_transitions () =
   let p = stab_p () in
   let rs = Runstate.create p ~x:[ 0; 1 ] in
-  let g, id = Runstate.initial rs in
   check Alcotest.bool "corrupt is not a transition" true
-    (match Runstate.apply rs g id (Move.Corrupt_sender 1) with
+    (match Runstate.apply rs 0 (Move.Corrupt_sender 1) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

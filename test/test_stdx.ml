@@ -547,6 +547,28 @@ let test_frontier_unbounded_never_spills () =
   check Alcotest.bool "bytes tracked" true (s.Frontier.peak_bytes > 0);
   Frontier.close f
 
+(* ------------------------- Clock ------------------------- *)
+
+(* Two domains busy for 0.6 s of wall time burn about 1.2 s of CPU time
+   on a two-core host: a guard reading CPU time would fire inside this
+   1 s budget, the wall-clock guard must not. *)
+let test_clock_deadline_is_wall_time () =
+  let budget = 1.0 in
+  let over = Stdx.Clock.deadline (Some budget) in
+  let t0 = Unix.gettimeofday () in
+  let spin () =
+    while Unix.gettimeofday () -. t0 < 0.6 *. budget do
+      ()
+    done
+  in
+  let other = Domain.spawn spin in
+  spin ();
+  let fired = over () in
+  Domain.join other;
+  check Alcotest.bool "two busy domains, 0.6 s into a 1 s budget" false fired;
+  check Alcotest.bool "a zero budget fires at once" true (Stdx.Clock.deadline (Some 0.0) ());
+  check Alcotest.bool "no budget never fires" false (Stdx.Clock.deadline None ())
+
 let () =
   Alcotest.run "stdx"
     [
@@ -638,4 +660,6 @@ let () =
             test_frontier_unbounded_never_spills;
           qtest prop_frontier_spill_transparent;
         ] );
+      ( "clock",
+        [ Alcotest.test_case "deadline reads wall time" `Quick test_clock_deadline_is_wall_time ] );
     ]
