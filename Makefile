@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see README.md.
 
-.PHONY: all verify test report-schema soak-smoke serve-smoke stab-smoke m5-smoke bench bench-smoke bench-artifact perf-gate clean
+.PHONY: all verify test report-schema soak-smoke serve-smoke stab-smoke m5-smoke e2e-smoke bench bench-smoke bench-artifact perf-gate clean
 
 all:
 	dune build
@@ -17,6 +17,7 @@ verify:
 	$(MAKE) serve-smoke
 	$(MAKE) stab-smoke
 	$(MAKE) m5-smoke
+	$(MAKE) e2e-smoke
 	$(MAKE) perf-gate
 
 # The report-schema gate, standalone: produce --json artifacts from
@@ -66,6 +67,19 @@ stab-smoke:
 	_build/default/bin/stp_cli.exe validate _build/stp_stab_gbn.json
 	_build/default/bin/stp_cli.exe soak --stab --seed 5 --random-plans 1 --json _build/stp_stab_soak.json
 	_build/default/bin/stp_cli.exe validate _build/stp_stab_soak.json
+
+# The end-to-end benchmark's three workloads, briefly and traced (about
+# 13 s in all): each run's last line must read correct with no failed
+# op.  The traced run adds the benchmark's differential checks, so this
+# pins the workloads' state counts, the 91 sweep representatives and
+# the serve artifact digests.
+e2e-smoke:
+	dune build ./e2ebench/main.exe
+	for w in pair-sweep single-bfs serve-loop; do \
+	  bash e2ebench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 > _build/stp_e2e_$$w.txt || exit 1; \
+	  tail -n 1 _build/stp_e2e_$$w.txt | grep -q '"correct": true,' || { echo "e2e-smoke: $$w is not correct" >&2; exit 1; }; \
+	  tail -n 1 _build/stp_e2e_$$w.txt | grep -q '"failed": 0,' || { echo "e2e-smoke: $$w failed ops" >&2; exit 1; }; \
+	done
 
 test: verify
 

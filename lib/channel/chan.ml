@@ -1,5 +1,6 @@
 module Multiset = Stdx.Multiset
 module Deque = Stdx.Deque
+module Codec = Stdx.Codec
 module IntSet = Set.Make (Int)
 
 type kind = Perfect | Fifo_lossy | Reorder_dup | Reorder_del | Bounded_reorder of { lag : int }
@@ -61,11 +62,6 @@ type body =
 type t = {
   k : kind;
   body : body;
-  mutable enc : string option;
-      (* Memoised [encode] of [body].  Channel values are shared across
-         the many globals an explorer branches over, so each distinct
-         body is serialised once.  Benign under parallel sweeps:
-         concurrent writers store the same value. *)
   sent : Multiset.t; (* cumulative counters, not part of the transition state *)
   delivered : Multiset.t;
   dropped : Multiset.t;
@@ -79,7 +75,7 @@ let create k =
     | Reorder_del -> Del Multiset.empty
     | Bounded_reorder { lag } -> Lag { lag; flight = [] }
   in
-  { k; body; enc = None; sent = Multiset.empty; delivered = Multiset.empty; dropped = Multiset.empty }
+  { k; body; sent = Multiset.empty; delivered = Multiset.empty; dropped = Multiset.empty }
 
 let kind t = t.k
 
@@ -91,7 +87,7 @@ let send t m =
     | Del ms -> Del (Multiset.add ms m)
     | Lag l -> Lag { l with flight = l.flight @ [ (m, 0) ] }
   in
-  { t with body; enc = None; sent = Multiset.add t.sent m }
+  { t with body; sent = Multiset.add t.sent m }
 
 (* Delivering (or dropping past) a copy overtakes every older copy
    still in flight; a copy may be overtaken at most [lag] times.  So a
@@ -106,17 +102,25 @@ let lag_reachable lag flight =
   in
   go false [] flight
 
+let rec overtake older rest =
+  match older with [] -> rest | (m, c) :: older -> overtake older ((m, c + 1) :: rest)
+
 (* Remove the first reachable copy of [x], charging one overtake to
-   every older copy left behind. *)
-let lag_take lag x flight =
-  let rec go acc = function
-    | [] -> None
-    | (m, c) :: rest ->
-        if m = x then Some (List.rev_append (List.map (fun (m', c') -> (m', c' + 1)) acc) rest)
-        else if c >= lag then None (* this copy blocks everything younger *)
-        else go ((m, c) :: acc) rest
-  in
-  go [] flight
+   every older copy left behind; [older] holds the copies passed so
+   far, newest first. *)
+let rec lag_take lag x older = function
+  | [] -> None
+  | ((m, c) as copy) :: rest ->
+      if m = x then Some (overtake older rest)
+      else if c >= lag then None (* this copy blocks everything younger *)
+      else lag_take lag x (copy :: older) rest
+
+(* A drop destroys the oldest copy of [x] in place, wherever it sits:
+   nothing overtakes anything, so no counters change. *)
+let rec lag_drop x older = function
+  | [] -> None
+  | ((m, _) as copy) :: rest ->
+      if m = x then Some (List.rev_append older rest) else lag_drop x (copy :: older) rest
 
 let deliverable t =
   match t.body with
@@ -125,30 +129,24 @@ let deliverable t =
   | Del ms -> Multiset.support ms
   | Lag { lag; flight } -> List.sort_uniq Int.compare (List.map fst (lag_reachable lag flight))
 
-let can_deliver t m = List.mem m (deliverable t)
+(* [deliver] and [drop] decide legality from the body operation
+   itself — the FIFO head, set membership, a multiset removal, the lag
+   walks — rather than by scanning [deliverable]/[droppable].  The two
+   must agree: [Sim.enabled] lists moves from the latter. *)
+let delivered t body m = Some { t with body; delivered = Multiset.add t.delivered m }
 
 let deliver t m =
-  if not (can_deliver t m) then None
-  else begin
-    let body =
-      match t.body with
-      | Fifo q -> (
-          match Deque.pop_front q with
-          | Some (_, q') -> Fifo q'
-          | None -> assert false)
-      | Dup s -> Dup s (* duplication: delivery consumes nothing *)
-      | Del ms -> (
-          match Multiset.remove ms m with Some ms' -> Del ms' | None -> assert false)
-      | Lag l -> (
-          match lag_take l.lag m l.flight with
-          | Some flight -> Lag { l with flight }
-          | None -> assert false)
-    in
-    (* A duplicating delivery leaves the body untouched, so its
-       memoised encoding stays valid. *)
-    let enc = match t.body with Dup _ -> t.enc | Fifo _ | Del _ | Lag _ -> None in
-    Some { t with body; enc; delivered = Multiset.add t.delivered m }
-  end
+  match t.body with
+  | Fifo q -> (
+      match Deque.pop_front q with Some (h, q') when h = m -> delivered t (Fifo q') m | _ -> None)
+  | Dup s -> if IntSet.mem m s then delivered t t.body m (* delivery consumes nothing *) else None
+  | Del ms -> ( match Multiset.remove ms m with Some ms' -> delivered t (Del ms') m | None -> None)
+  | Lag l -> (
+      match lag_take l.lag m [] l.flight with
+      | Some flight -> delivered t (Lag { l with flight }) m
+      | None -> None)
+
+let can_deliver t m = List.mem m (deliverable t)
 
 let droppable t =
   match (t.k, t.body) with
@@ -159,30 +157,19 @@ let droppable t =
       List.sort_uniq Int.compare (List.map fst flight)
   | (Perfect | Fifo_lossy | Reorder_dup | Reorder_del | Bounded_reorder _), _ -> []
 
+let dropped t body m = Some { t with body; dropped = Multiset.add t.dropped m }
+
 let drop t m =
-  if not (List.mem m (droppable t)) then None
-  else begin
-    let body =
-      match t.body with
-      | Fifo q -> (
-          match Deque.pop_front q with
-          | Some (_, q') -> Fifo q'
-          | None -> assert false)
-      | Del ms -> (
-          match Multiset.remove ms m with Some ms' -> Del ms' | None -> assert false)
-      | Lag l ->
-          (* A drop destroys the copy in place: nothing overtakes
-             anything, so no counters change. *)
-          let rec remove acc = function
-            | [] -> assert false
-            | (m', c') :: rest ->
-                if m' = m then List.rev_append acc rest else remove ((m', c') :: acc) rest
-          in
-          Lag { l with flight = remove [] l.flight }
-      | Dup _ -> assert false
-    in
-    Some { t with body; enc = None; dropped = Multiset.add t.dropped m }
-  end
+  match (t.k, t.body) with
+  | Fifo_lossy, Fifo q -> (
+      match Deque.pop_front q with Some (h, q') when h = m -> dropped t (Fifo q') m | _ -> None)
+  | Reorder_del, Del ms -> (
+      match Multiset.remove ms m with Some ms' -> dropped t (Del ms') m | None -> None)
+  | Bounded_reorder _, Lag l -> (
+      match lag_drop m [] l.flight with
+      | Some flight -> dropped t (Lag { l with flight }) m
+      | None -> None)
+  | (Perfect | Fifo_lossy | Reorder_dup | Reorder_del | Bounded_reorder _), _ -> None
 
 let dlvrble t =
   match t.body with
@@ -216,44 +203,40 @@ let debt t =
   | Del ms -> Multiset.cardinal ms
   | Lag { flight; _ } -> List.length flight
 
-(* Binary body fingerprint: a tag byte for the body form, a count,
-   then the contents as varints.  The count makes each form a prefix
-   code, so the fingerprint is injective per body type; the tag keeps
-   the forms apart.  Built once per distinct body (memoised below) via
-   a throwaway writer — the per-state hot path only blits the memo. *)
-let encode_body body =
-  let c = Stdx.Codec.create ~size:24 () in
-  (match body with
+(* Binary body fingerprint, written straight into the caller's codec:
+   a tag byte for the body form, a count, then the contents as
+   varints.  The count makes each form a prefix code and the tag keeps
+   the forms apart, so the emission is injective and self-delimiting:
+   it needs no length prefix inside a longer key. *)
+let rec emit_copies c = function
+  | [] -> ()
+  | (m, overtaken) :: rest ->
+      Codec.add_varint c m;
+      Codec.add_varint c overtaken;
+      emit_copies c rest
+
+let emit c t =
+  match t.body with
   | Fifo q ->
-      Stdx.Codec.add_char c 'F';
-      Stdx.Codec.add_varint c (Deque.length q);
-      Deque.fold (fun () m -> Stdx.Codec.add_varint c m) () q
+      Codec.add_char c 'F';
+      Codec.add_varint c (Deque.length q);
+      Deque.fold (fun () m -> Codec.add_varint c m) () q
   | Dup s ->
-      Stdx.Codec.add_char c 'U';
-      Stdx.Codec.add_varint c (IntSet.cardinal s);
-      IntSet.iter (fun m -> Stdx.Codec.add_varint c m) s
+      Codec.add_char c 'U';
+      Codec.add_varint c (IntSet.cardinal s);
+      IntSet.iter (fun m -> Codec.add_varint c m) s
   | Del ms ->
-      Stdx.Codec.add_char c 'D';
+      Codec.add_char c 'D';
       Multiset.emit c ms
   | Lag { flight; _ } ->
-      Stdx.Codec.add_char c 'L';
-      Stdx.Codec.add_varint c (List.length flight);
-      List.iter
-        (fun (m, ov) ->
-          Stdx.Codec.add_varint c m;
-          Stdx.Codec.add_varint c ov)
-        flight);
-  Stdx.Codec.contents c
+      Codec.add_char c 'L';
+      Codec.add_varint c (List.length flight);
+      emit_copies c flight
 
 let encode t =
-  match t.enc with
-  | Some s -> s
-  | None ->
-      let s = encode_body t.body in
-      t.enc <- Some s;
-      s
-
-let emit c t = Stdx.Codec.add_blob c (encode t)
+  let c = Codec.create ~size:24 () in
+  emit c t;
+  Codec.contents c
 
 (* The body fingerprint plus the cumulative counters: everything about
    the channel that any engine decision reads (deliverable/droppable

@@ -73,17 +73,18 @@ val deliverable : t -> int list
 val can_deliver : t -> int -> bool
 
 val deliver : t -> int -> t option
-(** [deliver t m] performs a delivery of [m]; [None] if [m] is not
-    currently deliverable.  On [Reorder_dup] the deliverable vector is
-    unchanged (duplication); on the others one copy is consumed. *)
+(** [deliver t m] performs a delivery of [m]; [None] exactly when [m]
+    is not in {!deliverable}.  On [Reorder_dup] the deliverable vector
+    is unchanged (duplication); on the others one copy is consumed. *)
 
 val droppable : t -> int list
 (** Messages a drop move may target ([Fifo_lossy]: the head;
     [Reorder_del]: any in-flight message; empty otherwise). *)
 
 val drop : t -> int -> t option
-(** [drop t m] deletes one in-flight copy of [m]; [None] if the kind
-    does not delete or no copy is in flight. *)
+(** [drop t m] deletes one in-flight copy of [m]; [None] exactly when
+    [m] is not in {!droppable}: the kind does not delete, or no copy is
+    in flight. *)
 
 val dlvrble : t -> Stdx.Multiset.t
 (** The paper's [dlvrble] vector: for [Reorder_dup] a 0/1 vector over
@@ -114,15 +115,16 @@ val debt : t -> int
 
 val encode : t -> string
 (** Canonical binary fingerprint of the transition-relevant body
-    (cumulative counters excluded).  Two states with equal encodings
-    are observationally identical for every future behaviour.
-    Memoised per distinct body: computed on first demand, then
-    answered from a cache for the lifetime of the value. *)
+    (cumulative counters excluded): {!emit} into a fresh codec.  Two
+    states with equal encodings are observationally identical for
+    every future behaviour. *)
 
 val emit : Stdx.Codec.t -> t -> unit
-(** Append the (memoised) fingerprint to a codec as a length-prefixed
-    blob — the {!Kernel.Global.emit} component path; allocates nothing
-    once the memo is warm. *)
+(** Write the body fingerprint straight into a codec — the
+    {!Kernel.Global.emit} component path.  The body is a tag byte, a
+    count and the items, a prefix code, so it needs no length prefix
+    inside a longer key.  Not memoised: a body is a handful of
+    varints. *)
 
 val emit_run_key : Stdx.Codec.t -> t -> unit
 (** {!emit} followed by the three cumulative counter multisets — the

@@ -48,10 +48,10 @@ let write t d =
 
 let complete t = output_length t = Array.length t.input
 
-(* The hot fingerprint path: every component append is a memo blit
-   (Proc/Chan serialise each distinct value once), so emitting an
-   already-encoded state into the engine's reusable codec allocates
-   nothing. *)
+(* The hot fingerprint path: a process blob is a memo blit (each
+   distinct process value is serialised once) and a channel writes its
+   few body varints in place, so emitting into the engine's reusable
+   codec allocates no string. *)
 let emit c t =
   Proc.emit c t.sender;
   Proc.emit c t.receiver;

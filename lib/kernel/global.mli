@@ -53,10 +53,11 @@ val emit : Stdx.Codec.t -> t -> unit
     *transition-relevant* part of the state (process states, channel
     contents, output length) to a codec.  Histories and cumulative
     counters are excluded: two states with equal fingerprints generate
-    identical future behaviours.  The engine hot path: component
-    encodings are memoised per distinct value, so emitting into a
-    reusable buffer (then {!Stdx.Intern.intern_bytes}) materialises no
-    fresh string per generated state. *)
+    identical future behaviours.  The engine hot path: each process
+    appends its memoised, length-prefixed blob and each channel writes
+    its body in place, so emitting into a reusable buffer (then
+    {!Stdx.Intern.intern_bytes}) materialises no fresh string per
+    generated state. *)
 
 val encode : t -> string
 (** [emit] into a throwaway codec, copied out — for callers that want

@@ -16,8 +16,12 @@ val make :
   unit ->
   t
 (** [make ~state ~step ()] wraps a state machine.  The default
-    [encode] marshals the state, which is correct for any pure-data
-    state type. *)
+    [encode] marshals the state and drops the fixed
+    [Marshal.header_size]-byte header, which the rest of the output
+    determines; that is correct for any pure-data state type.  Two
+    states then encode equally exactly when their marshalled forms are
+    equal: for states built without shared sub-values, exactly when
+    they are structurally equal. *)
 
 val step : t -> Event.t -> t * Action.t list
 (** Advance the machine by one event. *)

@@ -33,26 +33,31 @@ let add_char t c =
 
 let add_byte t b = add_char t (Char.unsafe_chr (b land 0xff))
 
-(* Zigzag folds the sign into the low bit ([0, -1, 1, -2, …] ↦
-   [0, 1, 2, 3, …]); LEB128 then spends one byte per 7 significant
-   bits.  [lsr] in the loop keeps the folded value non-negative, so
-   the loop terminates for every int. *)
-let add_varint t n =
-  let z = ref ((n lsl 1) lxor (n asr (Sys.int_size - 1))) in
+(* LEB128: one byte per 7 significant bits of the folded value.  [lsr]
+   keeps it non-negative, so the loop terminates for every int. *)
+let add_varint_long t z =
   ensure t 10;
-  let continue = ref true in
-  while !continue do
-    if !z land lnot 0x7f = 0 then begin
-      Bytes.unsafe_set t.buf t.len (Char.unsafe_chr !z);
-      t.len <- t.len + 1;
-      continue := false
-    end
-    else begin
-      Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (0x80 lor (!z land 0x7f)));
-      t.len <- t.len + 1;
-      z := !z lsr 7
-    end
-  done
+  let z = ref z in
+  while !z land lnot 0x7f <> 0 do
+    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (0x80 lor (!z land 0x7f)));
+    t.len <- t.len + 1;
+    z := !z lsr 7
+  done;
+  Bytes.unsafe_set t.buf t.len (Char.unsafe_chr !z);
+  t.len <- t.len + 1
+
+(* Zigzag folds the sign into the low bit ([0, -1, 1, -2, …] ↦
+   [0, 1, 2, 3, …]).  Most fingerprint varints (counts, messages,
+   small protocol values) then fit one byte, written inline.  The test
+   is on the bits, not [z < 0x80]: the zigzag of [min_int] is
+   negative. *)
+let add_varint t n =
+  let z = (n lsl 1) lxor (n asr (Sys.int_size - 1)) in
+  if z land lnot 0x7f = 0 && t.len < Bytes.length t.buf then begin
+    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr z);
+    t.len <- t.len + 1
+  end
+  else add_varint_long t z
 
 let add_substring t s pos len =
   ensure t len;

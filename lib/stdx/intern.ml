@@ -4,7 +4,7 @@
    just to ask "seen before?".  This table hashes and compares
    directly against a caller-owned byte range, so a duplicate state
    (the overwhelmingly common case in a saturating BFS) costs one hash
-   and one byte-compare — zero allocation. *)
+   and one compare — zero allocation. *)
 
 type t = {
   mutable slots : int array;  (* id + 1; 0 = empty.  Power-of-two sized. *)
@@ -20,22 +20,42 @@ let create ?(size = 1024) () =
   let cap = pow2_above (max 16 size) 16 in
   { slots = Array.make cap 0; mask = cap - 1; hashes = Array.make 64 0; names = Array.make 64 ""; n = 0 }
 
-(* Polynomial rolling hash (Java-style 31x).  Collisions are resolved
-   by the byte-compare below, so quality only affects probe lengths. *)
+(* Unaligned, unchecked 64-bit loads: callers keep [i + 8] in range. *)
+external bytes_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* Eight bytes per step, then the tail bytes singly.  The int
+   conversion drops each word's top bit; the exact compare below
+   resolves collisions, so that only costs hash spread. *)
+let mix h =
+  let h = h * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
 let hash_sub b pos len =
   let h = ref len in
-  for i = pos to pos + len - 1 do
-    h := (!h * 31) + Char.code (Bytes.unsafe_get b i)
+  let stop = pos + len in
+  let i = ref pos in
+  while !i + 8 <= stop do
+    h := mix (!h lxor Int64.to_int (bytes_get64u b !i));
+    i := !i + 8
+  done;
+  while !i < stop do
+    h := mix (!h lxor Char.code (Bytes.unsafe_get b !i));
+    incr i
   done;
   !h land max_int
 
-let eq_sub name b pos len =
-  String.length name = len
-  &&
-  let rec go i =
-    i = len || (String.unsafe_get name i = Bytes.unsafe_get b (pos + i) && go (i + 1))
-  in
-  go 0
+(* Top-level rather than local, so a compare allocates no closure. *)
+let rec eq_tail name b pos i len =
+  i = len
+  || (String.unsafe_get name i = Bytes.unsafe_get b (pos + i) && eq_tail name b pos (i + 1) len)
+
+let rec eq_words name b pos i len =
+  if i + 8 <= len then
+    string_get64u name i = bytes_get64u b (pos + i) && eq_words name b pos (i + 8) len
+  else eq_tail name b pos i len
+
+let eq_sub name b pos len = String.length name = len && eq_words name b pos 0 len
 
 let grow_slots t =
   let cap = 2 * Array.length t.slots in

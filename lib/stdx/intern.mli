@@ -15,7 +15,10 @@
     byte range in place — an already-seen state (the common case in a
     saturating BFS) costs one hash and one compare with no allocation;
     only a genuinely fresh state copies the range out to a stored
-    string.
+    string.  Both the hash and the compare take eight bytes per step
+    (unaligned 64-bit loads, so any [pos] works) and the tail bytes
+    singly; the compare only runs once the stored key's cached hash
+    has matched.  Ids never depend on the hash.
 
     Ids are stable for the lifetime of the table: interning the same
     fingerprint twice returns the same id, and [name] recovers the

@@ -28,13 +28,15 @@ let test_counting_reorder_witness () =
 let test_abp_duplication_witness () =
   let p = Protocols.Abp.protocol_on Chan.Reorder_dup ~domain:2 in
   let w = witness_exn (Attack.search_single p ~x:[ 0; 0 ] ()) in
-  match w.Attack.kind with
+  (match w.Attack.kind with
   | Attack.Safety { violated_run } -> check Alcotest.int "run 1" 1 violated_run
-  | Attack.Starvation _ -> Alcotest.fail "expected safety"
+  | Attack.Starvation _ -> Alcotest.fail "expected safety");
+  Replay.single_witness ~name:"abp-dup" p w
 
 let test_stenning_mod_wraparound_witness () =
   let p = Protocols.Stenning_mod.protocol_on Chan.Reorder_dup ~domain:2 ~header_space:2 in
-  ignore (witness_exn (Attack.search_single p ~x:[ 0; 1; 0; 1 ] ()))
+  Replay.single_witness ~name:"stenning-mod wraparound" p
+    (witness_exn (Attack.search_single p ~x:[ 0; 1; 0; 1 ] ()))
 
 (* ------------------------- witness replay ------------------------- *)
 
@@ -60,20 +62,29 @@ let test_witness_replays_to_violation () =
   check Alcotest.bool "replayed violation" true
     (Trace.first_safety_violation r.Runner.trace <> None)
 
+(* Every witness cell of E10's quick grid (stenning-mod h over lag,
+   h = 1..3, lag = 0..2, at the experiment's search parameters)
+   replays through the scheduler. *)
 let test_single_witness_replays () =
-  let p = Protocols.Abp.protocol_on Chan.Reorder_dup ~domain:2 in
-  let w = witness_exn (Attack.search_single p ~x:[ 0; 0 ] ()) in
-  let moves = Attack.run_moves w ~which:1 in
-  (* The ABP overshoot happens *after* the output is complete, so the
-     replay must keep rolling past completion. *)
-  let r =
-    Runner.run p ~input:[| 0; 0 |] ~strategy:(Strategy.scripted moves)
-      ~rng:(Stdx.Rng.create 1)
-      ~max_steps:(List.length moves + 1)
-      ~post_roll:(List.length moves) ()
-  in
-  check Alcotest.bool "replayed violation" true
-    (Trace.first_safety_violation r.Runner.trace <> None)
+  let cells = ref 0 in
+  for h = 1 to 3 do
+    for lag = 0 to 2 do
+      let p =
+        Protocols.Stenning_mod.protocol_on (Chan.Bounded_reorder { lag }) ~domain:2
+          ~header_space:h
+      in
+      let cap = (2 * (h + 1)) + 2 in
+      match
+        Attack.search_single p ~x:(List.init h (fun _ -> 0) @ [ 1 ]) ~depth:150
+          ~max_sends_per_sender:cap ~max_sends_per_receiver:cap ~allow_drops:false ()
+      with
+      | Attack.Witness w ->
+          incr cells;
+          Replay.single_witness ~name:(Printf.sprintf "E10 h=%d lag=%d" h lag) p w
+      | Attack.No_violation _ -> ()
+    done
+  done;
+  check Alcotest.int "witness cells (lag >= h - 1)" 6 !cells
 
 (* ------------------------- closures at the bound ------------------------- *)
 
@@ -331,7 +342,8 @@ let test_e10_baseline () =
   | Attack.Safety { violated_run } -> check Alcotest.int "violated run" 1 violated_run
   | Attack.Starvation _ -> Alcotest.fail "expected safety");
   check Alcotest.int "depth" 7 w.Attack.depth;
-  check Alcotest.int "states explored" 69 w.Attack.states_explored
+  check Alcotest.int "states explored" 69 w.Attack.states_explored;
+  Replay.single_witness ~name:"e10 baseline" p w
 
 (* The out-of-core frontier's exactness contract on the engine
    baselines: a budgeted search (4096 B forces the pager to its

@@ -4,6 +4,7 @@
 
 module Bfs = Kernel.Bfs
 module Global = Kernel.Global
+module Proc = Kernel.Proc
 module Move = Kernel.Move
 module Sim = Kernel.Sim
 module Protocol = Kernel.Protocol
@@ -112,9 +113,48 @@ let explore p ~input ~allow_drops =
       (Bfs.move_filter ~allow_drops ~max_sends_per_sender:caps ~max_sends_per_receiver:caps)
     ()
 
+(* A naive reference that shares no codec or intern code with the
+   engines: a stdlib Hashtbl keyed on the two process fingerprints, the
+   channels' printed forms and the output length (the components
+   [Global.emit] encodes), and a Queue of (state, depth), expanding every state
+   below [depth] under the engines' move filter.  [Explore.reachable]
+   keys through [Global.emit] and [Intern] like the engines, so a key
+   change that merged or split states would move it with them; this
+   one would not.  Returns the state count (or [None] past
+   [max_states]) and whether any state is unsafe. *)
+let reference_single p ~input ~allow_drops =
+  let keep =
+    Bfs.move_filter ~allow_drops ~max_sends_per_sender:caps ~max_sends_per_receiver:caps
+  in
+  let key (g : Global.t) =
+    ( Proc.encode g.Global.sender,
+      Proc.encode g.Global.receiver,
+      Format.asprintf "%a" Chan.pp g.Global.chan_sr,
+      Format.asprintf "%a" Chan.pp g.Global.chan_rs,
+      Global.output_length g )
+  in
+  let seen = Hashtbl.create 1024 and queue = Queue.create () in
+  let unsafe = ref false in
+  let visit g d =
+    let k = key g in
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.add seen k ();
+      if not (Global.safety_ok g) then unsafe := true;
+      Queue.add (g, d) queue
+    end
+  in
+  visit (Global.initial p ~input:(Array.of_list input)) 0;
+  while Hashtbl.length seen <= max_states && not (Queue.is_empty queue) do
+    let g, d = Queue.take queue in
+    if d < depth then
+      List.iter (fun m -> if keep g m then visit (Sim.apply p g m) (d + 1)) (Sim.enabled p g)
+  done;
+  ((if Hashtbl.length seen <= max_states then Some (Hashtbl.length seen) else None), !unsafe)
+
 (* A closed, clean single-run search and a closed recoverability pass
-   see exactly the states Explore.reachable reaches under the same
-   filter. *)
+   see exactly the states Explore.reachable and the naive reference
+   reach under the same filter; a violating search's witness replays
+   through the scheduler, and both explorations see a violation. *)
 let test_single_and_spec_match_explore () =
   let compared = ref 0 in
   List.iter
@@ -122,6 +162,7 @@ let test_single_and_spec_match_explore () =
       let allow_drops = Chan.deletes p.Protocol.channel in
       let e = explore p ~input ~allow_drops in
       if not e.Explore.truncated then begin
+        let naive, naive_unsafe = reference_single p ~input ~allow_drops in
         (match
            Attack.search_single p ~x:input ~depth ~max_states ~max_sends_per_sender:caps
              ~max_sends_per_receiver:caps ()
@@ -129,11 +170,16 @@ let test_single_and_spec_match_explore () =
         | Attack.No_violation { closed = true; states_explored } ->
             incr compared;
             check Alcotest.int (name ^ ": search_single states") e.Explore.states states_explored;
+            check Alcotest.(option int) (name ^ ": naive reference states") (Some states_explored)
+              naive;
             check Alcotest.int (name ^ ": explore sees no violation") 0
-              e.Explore.safety_violations
-        | Attack.Witness _ ->
+              e.Explore.safety_violations;
+            check Alcotest.bool (name ^ ": naive reference sees no violation") false naive_unsafe
+        | Attack.Witness w ->
             check Alcotest.bool (name ^ ": explore sees the violation") true
-              (e.Explore.safety_violations > 0)
+              (e.Explore.safety_violations > 0);
+            check Alcotest.bool (name ^ ": naive reference sees the violation") true naive_unsafe;
+            Replay.single_witness ~name p w
         | Attack.No_violation { closed = false; _ } -> ());
         let r =
           Core.Spec.recoverability p ~input ~depth ~max_states ~max_sends_per_sender:caps
@@ -142,6 +188,8 @@ let test_single_and_spec_match_explore () =
         if r.Core.Spec.closed then begin
           incr compared;
           check Alcotest.int (name ^ ": recoverability states") e.Explore.states r.Core.Spec.states;
+          check Alcotest.(option int) (name ^ ": naive reference states") (Some r.Core.Spec.states)
+            naive;
           check Alcotest.int (name ^ ": complete states") e.Explore.complete_states
             r.Core.Spec.completed;
           check Alcotest.int (name ^ ": nothing cut off") 0 r.Core.Spec.frontier

@@ -208,6 +208,7 @@ let test_run_key_refines_encode () =
   in
   check Alcotest.string "fingerprints coincide" (Chan.encode fresh) (Chan.encode spent);
   check Alcotest.string "emit matches encode framing" (key Chan.emit fresh) (key Chan.emit spent);
+  check Alcotest.string "emit writes the bare body" (Chan.encode spent) (key Chan.emit spent);
   check Alcotest.bool "run keys differ" true
     (key Chan.emit_run_key fresh <> key Chan.emit_run_key spent)
 
@@ -272,6 +273,47 @@ let prop_dup_deliverable_monotone =
           sends
       in
       ok)
+
+(* [deliver] and [drop] decide legality from the body operation, while
+   [deliverable] and [droppable] (which [Sim.enabled] lists moves from)
+   enumerate it; the two must agree on every channel kind at every
+   reachable body.  Each step sends, delivers or drops a random symbol,
+   checking both predicates for every symbol first. *)
+let prop_legality_matches_enumeration =
+  let kinds =
+    Chan.
+      [
+        Perfect;
+        Fifo_lossy;
+        Reorder_dup;
+        Reorder_del;
+        Bounded_reorder { lag = 0 };
+        Bounded_reorder { lag = 1 };
+        Bounded_reorder { lag = 2 };
+      ]
+  in
+  QCheck.Test.make ~name:"deliver/drop succeed exactly on deliverable/droppable" ~count:300
+    QCheck.(pair (int_bound (List.length kinds - 1)) (list (pair (int_range 0 2) (int_range 0 3))))
+    (fun (k, script) ->
+      let legal t =
+        List.for_all
+          (fun m ->
+            Option.is_some (Chan.deliver t m) = List.mem m (Chan.deliverable t)
+            && Chan.can_deliver t m = List.mem m (Chan.deliverable t)
+            && Option.is_some (Chan.drop t m) = List.mem m (Chan.droppable t))
+          [ 0; 1; 2; 3 ]
+      in
+      let step (t, ok) (op, m) =
+        let t =
+          match op with
+          | 0 -> Chan.send t m
+          | 1 -> Option.value (Chan.deliver t m) ~default:t
+          | _ -> Option.value (Chan.drop t m) ~default:t
+        in
+        (t, ok && legal t)
+      in
+      let t0 = Chan.create (List.nth kinds k) in
+      snd (List.fold_left step (t0, legal t0) script))
 
 (* ------------------------- kind names ------------------------- *)
 
@@ -355,4 +397,5 @@ let () =
           Alcotest.test_case "encode sees contents" `Quick test_encode_distinguishes_contents;
           Alcotest.test_case "run key refines encode" `Quick test_run_key_refines_encode;
         ] );
+      ("legality", [ qtest prop_legality_matches_enumeration ]);
     ]

@@ -140,7 +140,7 @@ let test_gbn_breaks_under_reordering () =
   match Core.Attack.search_single p ~x:[ 0; 1; 1; 1 ] ~depth:64 () with
   | Core.Attack.Witness w -> (
       match w.Core.Attack.kind with
-      | Core.Attack.Safety _ -> ()
+      | Core.Attack.Safety _ -> Replay.single_witness ~name:"go-back-n stale frame" p w
       | Core.Attack.Starvation _ -> Alcotest.fail "expected safety")
   | Core.Attack.No_violation _ -> Alcotest.fail "expected witness"
 

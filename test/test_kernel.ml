@@ -465,14 +465,24 @@ let test_explore_dead_end_emitted () =
 
 (* The binary fingerprint must behave exactly like semantic equality
    of the fingerprinted components on states the engine visits: equal
-   bytes iff equal (sender, receiver, channel bodies, output length).
+   bytes iff equal (sender, receiver, channel contents, output length).
    This is the injectivity/self-delimitation property the codec-based
-   state tables rely on. *)
+   state tables rely on.  Channels are compared through [Chan.pp], so
+   the reference shares no code with the channel codec under test. *)
 let prop_global_fingerprint_iff_components =
+  let protocols =
+    List.concat_map
+      (fun k ->
+        [
+          { (Protocols.Norep.del ~m:2) with Protocol.channel = k };
+          Protocols.Stenning_mod.protocol_on k ~domain:2 ~header_space:2;
+        ])
+      Chan.[ Fifo_lossy; Reorder_dup; Reorder_del; Bounded_reorder { lag = 1 } ]
+  in
   QCheck.Test.make ~name:"Global fingerprint equality iff component equality" ~count:60
-    QCheck.(pair small_int (int_range 5 40))
-    (fun (seed, steps) ->
-      let p = Protocols.Norep.del ~m:2 in
+    QCheck.(triple (int_bound (List.length protocols - 1)) small_int (int_range 5 40))
+    (fun (k, seed, steps) ->
+      let p = List.nth protocols k in
       let rng = Stdx.Rng.create seed in
       let g = ref (Global.initial p ~input:[| 0; 1 |]) in
       let states = ref [ !g ] in
@@ -489,8 +499,8 @@ let prop_global_fingerprint_iff_components =
       let comps (g : Global.t) =
         ( Proc.encode g.Global.sender,
           Proc.encode g.Global.receiver,
-          Chan.encode g.Global.chan_sr,
-          Chan.encode g.Global.chan_rs,
+          Format.asprintf "%a" Chan.pp g.Global.chan_sr,
+          Format.asprintf "%a" Chan.pp g.Global.chan_rs,
           Global.output_length g )
       in
       List.for_all
@@ -499,6 +509,72 @@ let prop_global_fingerprint_iff_components =
             (fun b -> String.equal (Global.encode a) (Global.encode b) = (comps a = comps b))
             !states)
         !states)
+
+(* Process fingerprints are headerless [Marshal] output: they must
+   still separate exactly the structurally different states, over
+   states of mixed shapes.  Every value is built fresh (no shared
+   sub-values, which [Marshal] would record), and half the pairs are
+   a state and its deep copy or a one-field edit of it. *)
+type shape =
+  | Leaf of int
+  | Cells of int array
+  | Items of int list
+  | Node of { tag : int; left : shape; right : shape }
+  | Nothing
+
+let rec copy_shape = function
+  | Leaf n -> Leaf n
+  | Cells a -> Cells (Array.copy a)
+  | Items l -> Items (List.map (fun x -> x) l)
+  | Node { tag; left; right } -> Node { tag; left = copy_shape left; right = copy_shape right }
+  | Nothing -> Nothing
+
+let shape_gen =
+  QCheck.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           let leaves =
+             [
+               map (fun x -> Leaf x) (int_range (-3) 300);
+               map (fun l -> Cells (Array.of_list l)) (list_size (int_bound 4) (int_bound 3));
+               map (fun l -> Items l) (list_size (int_bound 4) (int_bound 3));
+               return Nothing;
+             ]
+           in
+           if n = 0 then oneof leaves
+           else
+             oneof
+               (map3
+                  (fun tag left right -> Node { tag; left; right })
+                  (int_bound 2) (self (n - 1)) (self (n - 1))
+               :: leaves)))
+
+let shape_pair_gen =
+  QCheck.Gen.(
+    shape_gen >>= fun a ->
+    frequency
+      [
+        (2, map (fun b -> (a, b)) shape_gen);
+        (1, return (a, copy_shape a));
+        ( 1,
+          map
+            (fun x ->
+              match a with
+              | Node { tag; left; right } -> (a, Node { tag = tag + x; left = copy_shape left; right })
+              | Leaf n -> (a, Leaf (n + x))
+              | Cells c -> (a, Cells (Array.append (Array.copy c) [| x |]))
+              | Items l -> (a, Items (x :: l))
+              | Nothing -> (a, Leaf x))
+            (int_bound 1) );
+      ])
+
+let prop_proc_encode_iff_equal =
+  QCheck.Test.make ~name:"Proc.encode equality iff structural equality" ~count:500
+    (QCheck.make shape_pair_gen) (fun (a, b) ->
+      let encode s = Proc.encode (Proc.make ~state:s ~step:(fun s _ -> (s, [])) ()) in
+      String.equal (encode a) (encode b) = (a = b)
+      && String.length (encode a)
+         = String.length (Marshal.to_string a []) - Marshal.header_size)
 
 let () =
   Alcotest.run "kernel"
@@ -511,7 +587,10 @@ let () =
           Alcotest.test_case "event/action mapping" `Quick test_hist_event_action_mapping;
         ] );
       ( "proc",
-        [ Alcotest.test_case "step and encode" `Quick test_proc_step_and_encode ] );
+        [
+          Alcotest.test_case "step and encode" `Quick test_proc_step_and_encode;
+          qtest prop_proc_encode_iff_equal;
+        ] );
       ( "sim",
         [
           Alcotest.test_case "initial global" `Quick test_global_initial;

@@ -304,13 +304,15 @@ let test_sr_alphabets () =
 let test_sr_small_modulus_breaks () =
   (* The textbook result: w < M < 2w admits a window-overlap attack;
      M = 2w provably does not (exhaustive search). *)
+  let protocol modulus =
+    Protocols.Selective_repeat.protocol_mod Chan.Fifo_lossy ~domain:2 ~window:2 ~modulus
+  in
   let attack modulus =
-    Core.Attack.search_single
-      (Protocols.Selective_repeat.protocol_mod Chan.Fifo_lossy ~domain:2 ~window:2 ~modulus)
-      ~x:[ 0; 1; 1; 1 ] ~depth:80 ~max_sends_per_sender:10 ~max_sends_per_receiver:10 ()
+    Core.Attack.search_single (protocol modulus) ~x:[ 0; 1; 1; 1 ] ~depth:80
+      ~max_sends_per_sender:10 ~max_sends_per_receiver:10 ()
   in
   (match attack 3 with
-  | Core.Attack.Witness _ -> ()
+  | Core.Attack.Witness w -> Replay.single_witness ~name:"M=3 overlap" (protocol 3) w
   | Core.Attack.No_violation _ -> Alcotest.fail "M=3 should break");
   match attack 4 with
   | Core.Attack.No_violation { closed = true; _ } -> ()

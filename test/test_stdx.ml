@@ -480,6 +480,65 @@ let prop_intern_bijective =
       List.for_all2 (fun s i -> Intern.name t i = s) ss ids
       && Intern.length t = List.length (List.sort_uniq String.compare ss))
 
+(* The probe hashes and compares a word at a time and the tail bytes
+   singly, so keys here are mostly at least a word long, and most are
+   near-duplicates of a few bases: one byte changed anywhere, in the
+   last word, or in the tail past the last whole word, sometimes only
+   in its top bit.  Each key is interned from inside a larger buffer at
+   an unaligned offset, with filler around it that changes per key;
+   ids, fresh flags and names must agree with a Hashtbl-of-strings
+   reference. *)
+let intern_script_gen =
+  let open QCheck.Gen in
+  let key =
+    frequency [ (1, int_bound 7); (4, int_range 8 80) ] >>= fun n ->
+    string_size ~gen:(oneofl [ '\000'; '\001'; 'a'; '\128'; '\255' ]) (return n)
+  in
+  let edit s =
+    let n = String.length s in
+    if n = 0 then return s
+    else
+      oneof
+        [
+          int_bound (n - 1);
+          int_range (max 0 (n - 8)) (n - 1);
+          int_range (min (n - 1) (n land lnot 7)) (n - 1);
+        ]
+      >>= fun i ->
+      oneof [ map Char.chr (int_bound 255); return (Char.chr (Char.code s.[i] lxor 0x80)) ]
+      >|= fun c -> String.mapi (fun j x -> if j = i then c else x) s
+  in
+  list_size (int_range 1 6) key >>= fun bases ->
+  let base = oneofl bases in
+  list_size (int_range 0 60) (frequency [ (1, key); (2, base); (4, base >>= edit) ]) >>= fun more ->
+  let keys = bases @ more in
+  list_repeat (List.length keys) (int_range 1 15) >|= fun offsets -> (keys, offsets)
+
+let prop_intern_near_duplicates =
+  QCheck.Test.make ~count:300 ~name:"Intern agrees with a Hashtbl on near-duplicate keys"
+    (QCheck.make ~print:QCheck.Print.(pair (list string) (list int)) intern_script_gen)
+    (fun (keys, offsets) ->
+      let t = Intern.create ~size:16 () and reference = Hashtbl.create 16 in
+      let probe i key pos =
+        let len = String.length key in
+        let b = Bytes.make (pos + len + 9) (Char.chr ((i * 37) land 0xff)) in
+        Bytes.blit_string key 0 b pos len;
+        let expected =
+          match Hashtbl.find_opt reference key with
+          | Some id -> (id, false)
+          | None ->
+              let id = Hashtbl.length reference in
+              Hashtbl.add reference key id;
+              (id, true)
+        in
+        Intern.intern_bytes t b ~pos ~len = expected && Intern.name t (fst expected) = key
+      in
+      List.for_all2 (fun (i, key) pos -> probe i key pos) (List.mapi (fun i k -> (i, k)) keys) offsets
+      && Intern.length t = Hashtbl.length reference
+      && Hashtbl.fold
+           (fun key id ok -> ok && Intern.name t id = key && Intern.find_opt t key = Some id)
+           reference true)
+
 (* ------------------------- Frontier ------------------------- *)
 
 (* An op list drives both a spilled frontier (tiny chunks, one-chunk
@@ -651,6 +710,7 @@ let () =
           Alcotest.test_case "round-trip and growth" `Quick test_intern_roundtrip;
           Alcotest.test_case "intern_bytes slice" `Quick test_intern_bytes_slice;
           qtest prop_intern_bijective;
+          qtest prop_intern_near_duplicates;
           qtest prop_codec_intern_bytes_agrees;
         ] );
       ( "frontier",

@@ -199,7 +199,9 @@ let test_e10_parity_nosymm () =
     Attack.search_single p ~x:[ 0; 0; 1 ] ~depth:80 ~max_sends_per_sender:8
       ~max_sends_per_receiver:8 ~allow_drops:false ~symm:false ()
   with
-  | Attack.Witness w -> check Alcotest.int "e10 states" 69 w.Attack.states_explored
+  | Attack.Witness w ->
+      check Alcotest.int "e10 states" 69 w.Attack.states_explored;
+      Replay.single_witness ~name:"e10" p w
   | Attack.No_violation _ -> Alcotest.fail "expected the E10 witness"
 
 let test_orbit_reduction_counts () =
