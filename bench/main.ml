@@ -433,14 +433,6 @@ let run_micro ?json ?filter ~quota () =
     |> List.sort String.compare
     |> List.map (fun name -> (name, estimate clock_results name, estimate minor_results name))
   in
-  let t =
-    Stdx.Tabular.create ~title:"per iteration"
-      [
-        ("benchmark", Stdx.Tabular.Left);
-        ("time", Stdx.Tabular.Right);
-        ("minor words", Stdx.Tabular.Right);
-      ]
-  in
   let pretty ns =
     if Float.is_nan ns then "n/a"
     else if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
@@ -454,10 +446,24 @@ let run_micro ?json ?filter ~quota () =
     else if w > 1e3 then Printf.sprintf "%.1fk" (w /. 1e3)
     else Printf.sprintf "%.0f" w
   in
-  List.iter
-    (fun (name, ns, mw) -> Stdx.Tabular.add_row t [ name; pretty ns; pretty_words mw ])
-    rows;
-  Stdx.Tabular.print t;
+  let module R = Stdx.Report in
+  let table =
+    {
+      R.title = "per iteration";
+      columns =
+        [
+          R.column "benchmark";
+          R.column ~align:R.Right "time";
+          R.column ~align:R.Right "minor words";
+        ];
+      rows =
+        List.map
+          (fun (name, ns, mw) -> R.Cells [ R.str name; R.str (pretty ns); R.str (pretty_words mw) ])
+          rows;
+    }
+  in
+  print_string (R.table_to_text table);
+  print_newline ();
   Option.iter (fun path -> write_json path ~quota rows) json
 
 let () =

@@ -147,20 +147,9 @@ let () =
   let names =
     Hashtbl.fold (fun k _ acc -> k :: acc) base_ns [] |> List.sort String.compare
   in
-  let t =
-    Stdx.Tabular.create
-      ~title:
-        (Printf.sprintf "perf gate: %s vs %s (tolerance %.0f%%)" baseline_path latest_path
-           !tolerance)
-      [
-        ("benchmark", Stdx.Tabular.Left);
-        ("baseline", Stdx.Tabular.Right);
-        ("latest", Stdx.Tabular.Right);
-        ("time", Stdx.Tabular.Right);
-        ("minor words", Stdx.Tabular.Right);
-        ("verdict", Stdx.Tabular.Left);
-      ]
-  in
+  let module R = Stdx.Report in
+  let rows = ref [] in
+  let add_row cells = rows := R.Cells (List.map R.str cells) :: !rows in
   let pretty ns =
     if Float.is_nan ns then "n/a"
     else if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
@@ -183,7 +172,7 @@ let () =
       match Hashtbl.find_opt new_ns name with
       | None ->
           incr missing;
-          Stdx.Tabular.add_row t [ name; pretty b; "-"; "n/a"; "n/a"; "MISSING" ]
+          add_row [ name; pretty b; "-"; "n/a"; "n/a"; "MISSING" ]
       | Some n ->
           let dt = delta b n in
           let dm =
@@ -202,15 +191,33 @@ let () =
             | Some _ -> "ok"
             | None -> "n/a"
           in
-          Stdx.Tabular.add_row t
+          add_row
             [ name; pretty b; pretty n; pretty_delta dt; pretty_delta dm; verdict ])
     names;
   Hashtbl.iter
     (fun name n ->
       if not (Hashtbl.mem base_ns name) then
-        Stdx.Tabular.add_row t [ name; "-"; pretty n; "n/a"; "n/a"; "new" ])
+        add_row [ name; "-"; pretty n; "n/a"; "n/a"; "new" ])
     new_ns;
-  Stdx.Tabular.print t;
+  let table =
+    {
+      R.title =
+        Printf.sprintf "perf gate: %s vs %s (tolerance %.0f%%)" baseline_path latest_path
+          !tolerance;
+      columns =
+        [
+          R.column "benchmark";
+          R.column ~align:R.Right "baseline";
+          R.column ~align:R.Right "latest";
+          R.column ~align:R.Right "time";
+          R.column ~align:R.Right "minor words";
+          R.column "verdict";
+        ];
+      rows = List.rev !rows;
+    }
+  in
+  print_string (R.table_to_text table);
+  print_newline ();
   let warn_only =
     match Sys.getenv_opt "STP_PERF_GATE" with Some "warn" -> true | Some _ | None -> false
   in

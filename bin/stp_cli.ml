@@ -160,7 +160,7 @@ let alpha_run m_max format json =
   | Ok () ->
       (match format with
       | `Text ->
-          (* Body plus a blank line: byte-identical to Tabular.print. *)
+          (* The table text, then a blank line, as it has always printed. *)
           print_string (Report.to_text_body r);
           print_newline ()
       | `Json ->

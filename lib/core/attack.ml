@@ -540,68 +540,42 @@ let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_00
   let graph = Starved.graph () in
   Stats.with_frontier ?mem_budget_bytes ?stats ~states:(fun () -> Bfs.length table)
   @@ fun frontier ->
-  let result = ref None in
-  let truncated = ref false in
-  let check_safety id s1 s2 =
-    if not (Global.safety_ok (Runstate.state rs1 s1)) then
-      result := Some (id, Safety { violated_run = 1 })
-    else if not (Global.safety_ok (Runstate.state rs2 s2)) then
-      result := Some (id, Safety { violated_run = 2 })
+  let violated_run = ref 0 in
+  let unsafe rs s = not (Global.safety_ok (Runstate.state rs s)) in
+  (* Each side steps through the shared per-x store, so the [Sim.apply]
+     under this (state, move) runs once per input across the whole
+     sweep; an [Only1]/[Only2] move keeps the other side's store id.  A
+     simulator-rejected move skips the joint move. *)
+  let step _ (s1, s2) jm =
+    let s2' = match jm with Sync m | Only2 m -> Runstate.apply rs2 s2 m | Only1 _ -> s2 in
+    let s1' =
+      if s2' = Runstate.rejected then Runstate.rejected
+      else match jm with Sync m | Only1 m -> Runstate.apply rs1 s1 m | Only2 _ -> s1
+    in
+    if s1' = Runstate.rejected then None else Some (s1', s2')
   in
   (* Each store's initial state is its id 0. *)
-  let id0 = Bfs.intern table (0, 0) in
-  Bfs.root table id0 (0, 0);
-  check_safety id0 0 0;
-  Stdx.Frontier.push frontier id0;
-  while (not (Stdx.Frontier.is_empty frontier)) && !result = None do
-    if over_deadline () then begin
-      truncated := true;
-      Stdx.Frontier.clear frontier
-    end
-    else begin
-      let id = Stdx.Frontier.pop frontier in
-      let s1, s2 = Bfs.take table id in
-      Starved.vertex graph id s1 s2;
-      if Bfs.depth table id >= depth then truncated := true
-      else
-        List.iter
-          (fun jm ->
-            if !result = None then begin
-              (* Each side steps through the shared per-x store, so the
-                 [Sim.apply] under this (state, move) runs once per
-                 input across the whole sweep; an [Only1]/[Only2] move
-                 keeps the other side's store id.  A simulator-rejected
-                 move skips the joint move. *)
-              let s2' = match jm with Sync m | Only2 m -> Runstate.apply rs2 s2 m | Only1 _ -> s2 in
-              let s1' =
-                if s2' = Runstate.rejected then Runstate.rejected
-                else match jm with Sync m | Only1 m -> Runstate.apply rs1 s1 m | Only2 _ -> s1
-              in
-              if s1' <> Runstate.rejected then begin
-                let pair = (s1', s2') in
-                let id' = Bfs.intern table pair in
-                Starved.edge graph jm id';
-                if not (Bfs.mem table id') then
-                  if Bfs.admit table id' pair ~parent:id ~move:jm then begin
-                    check_safety id' s1' s2';
-                    Stdx.Frontier.push frontier id'
-                  end
-                  else truncated := true
-              end
-            end)
-          (expansions ~allow_drops ~send_cap:max_sends_per_sender
-             ~recv_cap:max_sends_per_receiver (Runstate.state rs1 s1) (Runstate.state rs2 s2))
-    end
-  done;
+  let outcome =
+    Bfs.run table frontier ~roots:[ (0, 0) ] ~depth ~deadline:over_deadline
+      ~admitted:(fun _ (s1, s2) ->
+        violated_run := if unsafe rs1 s1 then 1 else if unsafe rs2 s2 then 2 else 0;
+        !violated_run > 0)
+      ~moves:(fun id (s1, s2) ->
+        Starved.vertex graph id s1 s2;
+        expansions ~allow_drops ~send_cap:max_sends_per_sender ~recv_cap:max_sends_per_receiver
+          (Runstate.state rs1 s1) (Runstate.state rs2 s2))
+      ~on_edge:(fun _ jm id' -> Starved.edge graph jm id')
+      ~step ()
+  in
   let states_explored = Bfs.length table in
   let witness id kind =
     let moves = snd (Bfs.path table id) in
     Witness { x1; x2; kind; joint_moves = moves; depth = List.length moves; states_explored }
   in
-  match !result with
-  | Some (id, kind) -> witness id kind
-  | None when !truncated -> No_violation { closed = false; states_explored }
-  | None -> (
+  match outcome with
+  | Bfs.Found id -> witness id (Safety { violated_run = !violated_run })
+  | Bfs.Exhausted { closed = false } -> No_violation { closed = false; states_explored }
+  | Bfs.Exhausted { closed = true } -> (
       (* The joint space is exhausted with no safety violation, so no
          reachable joint output passes the common prefix.  Look for a
          starvation witness: a cycle the adversary can spin forever
@@ -743,41 +717,18 @@ let search_single (p : Protocol.t) ~x ?(depth = 64) ?(max_states = 200_000) ?all
   let table = Bfs.create ~emit:Global.emit ~max_states () in
   Stats.with_frontier ?mem_budget_bytes ?stats ~states:(fun () -> Bfs.length table)
   @@ fun frontier ->
-  let g0 = Global.initial p ~input:(Array.of_list x) in
-  let id0 = Bfs.intern table g0 in
-  Bfs.root table id0 g0;
-  Stdx.Frontier.push frontier id0;
-  let result = ref None in
-  let truncated = ref false in
-  while (not (Stdx.Frontier.is_empty frontier)) && !result = None do
-    if over_deadline () then begin
-      truncated := true;
-      Stdx.Frontier.clear frontier
-    end
-    else begin
-    let id = Stdx.Frontier.pop frontier in
-    let g = Bfs.take table id in
-    if Bfs.depth table id >= depth then truncated := true
-    else
-      List.iter
-        (fun move ->
-          if !result = None && keep g move then begin
-            let g' = Sim.apply p g move in
-            let id' = Bfs.intern table g' in
-            if not (Bfs.mem table id') then
-              if Bfs.admit table id' g' ~parent:id ~move then begin
-                if not (Global.safety_ok g') then result := Some id';
-                Stdx.Frontier.push frontier id'
-              end
-              else truncated := true
-          end)
-        (Sim.enabled p g)
-    end
-  done;
+  let outcome =
+    Bfs.run table frontier
+      ~roots:[ Global.initial p ~input:(Array.of_list x) ]
+      ~depth ~deadline:over_deadline ~admitted:(fun _ g -> not (Global.safety_ok g))
+      ~moves:(fun _ g -> Sim.enabled p g)
+      ~step:(fun _ g move -> if keep g move then Some (Sim.apply p g move) else None)
+      ()
+  in
   let states_explored = Bfs.length table in
   relabel
-    (match !result with
-    | Some id ->
+    (match outcome with
+    | Bfs.Found id ->
         let moves = List.map (fun m -> Only1 m) (snd (Bfs.path table id)) in
         Witness
           {
@@ -788,7 +739,7 @@ let search_single (p : Protocol.t) ~x ?(depth = 64) ?(max_states = 200_000) ?all
             depth = List.length moves;
             states_explored;
           }
-    | None -> No_violation { closed = not !truncated; states_explored })
+    | Bfs.Exhausted { closed } -> No_violation { closed; states_explored })
 
 let eligible_pairs ~xs =
   let rec pairs = function

@@ -27,22 +27,24 @@
     fairness.  For protocols meeting the [α(m)] bound the search
     closes with neither — the experimental face of tightness.
 
-    Engine internals: both searches run on the dense-id search table
-    {!Kernel.Bfs}, which interns each generated state's key into a
-    compact int id, keeps parent, move and depth per id in flat arrays,
-    and holds a state only until it is expanded.  BFS frontiers are
-    chunked varint queues ({!Stdx.Frontier}) of bare ids, one per
-    state.  {!search_single} keys a state by its [Global.emit]
-    fingerprint.  The joint search holds a joint state as its two
-    runs' ids in a per-input {!Runstate} store and keys it by the two
-    fingerprint ids the stores cached when those ids were new — two
-    array reads, no state emitted or hashed; {!search} shares the
-    stores across all pairs of a sweep, so each single-run transition
-    is simulated once per input.  For each expanded id the joint
-    search records its store-id pair and its out-edges in admission
-    order; the starvation pass reads those arrays, so a state's
-    fingerprint is hashed at most once and no successor is simulated
-    twice.
+    Engine internals: both searches are the one BFS loop
+    {!Kernel.Bfs.run} on a dense-id table, which interns each
+    generated state's key into a compact int id, keeps parent, move
+    and depth per id in flat arrays, and holds a state only until it
+    is expanded.  BFS frontiers are chunked varint queues
+    ({!Stdx.Frontier}) of bare ids, one per state.  Each search
+    supplies only its root, key, successor rule and stop rule (an
+    unsafe admitted state).  {!search_single} keys a state by its
+    [Global.emit] fingerprint.  The joint search holds a joint state
+    as its two runs' ids in a per-input {!Runstate} store and keys it
+    by the two fingerprint ids the stores cached when those ids were
+    new — two array reads, no state emitted or hashed; {!search}
+    shares the stores across all pairs of a sweep, so each single-run
+    transition is simulated once per input.  For each expanded id the
+    joint search records its store-id pair and its out-edges in
+    admission order, from the loop's [moves] and [on_edge] callbacks;
+    the starvation pass reads those arrays, so a state's fingerprint
+    is hashed at most once and no successor is simulated twice.
 
     With [~symm:true], searches on protocols declaring an
     {!Kernel.Symm.equivariance} are quotiented by data-alphabet
@@ -186,9 +188,10 @@ module Stats : sig
       search's loop [f] on a fresh frontier; on every exit path,
       exceptions included, it {!note}s the frontier's counters and
       [states ()] into [stats] and closes the frontier, releasing any
-      spill file.  The seam every BFS engine ({!search_pair},
-      {!search_single}, {!Core.Stab}'s corrupted-root search) reports
-      through. *)
+      spill file.  Every engine with a frontier runs its
+      {!Kernel.Bfs.run} inside it: {!search_pair}, {!search_single},
+      {!Core.Stab}'s corrupted-root search and the forward pass of
+      {!Core.Spec.recoverability} (which passes no [stats]). *)
 end
 
 val search_pair :

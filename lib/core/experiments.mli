@@ -42,11 +42,10 @@
       executable face. *)
 
 type result = Stdx.Report.t
-(** Each experiment now builds a typed {!Stdx.Report} instead of a
-    rendered string: the text renderer reproduces the old
-    {!Stdx.Tabular} output byte-for-byte, and the same value feeds the
-    JSON/CSV artifact writers.  The legacy field reads are available
-    as accessors below. *)
+(** Each experiment builds a typed {!Stdx.Report}: the text renderer
+    prints its tables ({!Stdx.Report.table_to_text}), and the same
+    value feeds the JSON/CSV artifact writers.  The legacy field reads
+    are available as accessors below. *)
 
 val id : result -> string
 (** "E1" … "E12". *)

@@ -33,38 +33,26 @@ let recoverability (p : Protocol.t) ~input ?(depth = 80) ?(max_states = 200_000)
   (* (from, to) id pairs, varint-packed: the edge log the reversed
      adjacency is built from once the forward pass is done. *)
   let edges = Stdx.Frontier.create () in
-  let queue = Stdx.Frontier.create () in
-  let enqueue id g =
-    if Global.complete g then ignore (Stdx.Bitset.add complete id : bool);
-    Stdx.Frontier.push queue id
+  let outcome =
+    Attack.Stats.with_frontier ~states:(fun () -> Bfs.length table) @@ fun queue ->
+    Bfs.run table queue
+      ~roots:[ Global.initial p ~input:(Array.of_list input) ]
+      ~depth
+      ~admitted:(fun id g ->
+        if Global.complete g then ignore (Stdx.Bitset.add complete id : bool);
+        false)
+      ~moves:(fun id g ->
+        ignore (Stdx.Bitset.add expanded id : bool);
+        Sim.enabled p g)
+      ~step:(fun id g move ->
+        if keep g move then Some (Sim.apply p g move)
+        else begin
+          ignore (Stdx.Bitset.add capped id : bool);
+          None
+        end)
+      ~on_edge:(fun id _ id' -> if Bfs.mem table id' then Stdx.Frontier.push2 edges id id')
+      ()
   in
-  let g0 = Global.initial p ~input:(Array.of_list input) in
-  let id0 = Bfs.intern table g0 in
-  Bfs.root table id0 g0;
-  enqueue id0 g0;
-  let truncated = ref false in
-  while not (Stdx.Frontier.is_empty queue) do
-    let id = Stdx.Frontier.pop queue in
-    let g = Bfs.take table id in
-    if Bfs.depth table id >= depth then truncated := true
-    else begin
-      ignore (Stdx.Bitset.add expanded id : bool);
-      List.iter
-        (fun move ->
-          if not (keep g move) then ignore (Stdx.Bitset.add capped id : bool)
-          else begin
-            let g' = Sim.apply p g move in
-            let id' = Bfs.intern table g' in
-            if Bfs.mem table id' then Stdx.Frontier.push2 edges id id'
-            else if Bfs.admit table id' g' ~parent:id ~move then begin
-              Stdx.Frontier.push2 edges id id';
-              enqueue id' g'
-            end
-            else truncated := true
-          end)
-        (Sim.enabled p g)
-    end
-  done;
   (* Backward marking over reversed edges: which states can still
      complete, and which are tainted by a cap (they, or something they
      can reach, had behaviour hidden by the budget). *)
@@ -96,7 +84,7 @@ let recoverability (p : Protocol.t) ~input ?(depth = 80) ?(max_states = 200_000)
     (* Unexpanded states are tainted, so an untainted state was expanded. *)
     dead = List.length (List.filter (fun id -> not (can_complete id || tainted id)) ids);
     frontier = n - Stdx.Bitset.cardinal expanded;
-    closed = not !truncated;
+    closed = outcome = Bfs.Exhausted { closed = true };
   }
 
 let recoverable r = r.closed && r.dead = 0 && r.completed > 0

@@ -104,57 +104,36 @@ type outcome = No_violation of { closed : bool; states : int } | Violation of wi
 let search ?(depth = 200) ?(max_states = 200_000) ?(allow_drops = true)
     ?(max_sends_per_sender = 16) ?(max_sends_per_receiver = 16) ?mem_budget_bytes ?stats
     p ~input () =
-  let pairs = space p ~input in
   let keep = Bfs.move_filter ~allow_drops ~max_sends_per_sender ~max_sends_per_receiver in
+  let starts =
+    List.map
+      (fun ((s, r) as start) ->
+        (start, Global.initial ~sender:s.Protocol.proc ~receiver:r.Protocol.proc p ~input))
+      (space p ~input)
+  in
   (* One BFS over the union of every corrupted root's reachable space,
      with run keys deduping states across roots. *)
   let table = Bfs.create ~emit:Global.emit_run_key ~max_states () in
   Attack.Stats.with_frontier ?mem_budget_bytes ?stats ~states:(fun () -> Bfs.length table)
   @@ fun frontier ->
-  let result = ref None in
-  let truncated = ref false in
-  (* The corrupted start each root id grew from; roots take ids 0, 1, … *)
-  let starts = ref [] in
-  List.iter
-    (fun ((s, r) as start) ->
-      if !result = None then begin
-        let g =
-          Global.initial ~sender:s.Protocol.proc ~receiver:r.Protocol.proc p ~input
-        in
-        let id = Bfs.intern table g in
-        if not (Bfs.mem table id) then begin
-          Bfs.root table id g;
-          starts := start :: !starts;
-          if not (Global.safety_ok g) then result := Some id
-          else Stdx.Frontier.push frontier id
-        end
-      end)
-    pairs;
-  while (not (Stdx.Frontier.is_empty frontier)) && !result = None do
-    let id = Stdx.Frontier.pop frontier in
-    let g = Bfs.take table id in
-    if Bfs.depth table id >= depth then truncated := true
-    else
-      List.iter
-        (fun move ->
-          if !result = None && keep g move then
-            match Sim.apply p g move with
-            | exception Sim.Model_violation _ -> ()
-            | g' ->
-                let id' = Bfs.intern table g' in
-                if not (Bfs.mem table id') then
-                  if Bfs.admit table id' g' ~parent:id ~move then begin
-                    if not (Global.safety_ok g') then result := Some id'
-                    else Stdx.Frontier.push frontier id'
-                  end
-                  else truncated := true)
-        (Sim.enabled p g)
-  done;
-  match !result with
-  | None -> No_violation { closed = not !truncated; states = Bfs.length table }
-  | Some id ->
+  match
+    Bfs.run table frontier ~roots:(List.map snd starts) ~depth
+      ~admitted:(fun _ g -> not (Global.safety_ok g))
+      ~moves:(fun _ g -> Sim.enabled p g)
+      ~step:(fun _ g move ->
+        if keep g move then
+          match Sim.apply p g move with
+          | exception Sim.Model_violation _ -> None
+          | g' -> Some g'
+        else None)
+      ()
+  with
+  | Bfs.Exhausted { closed } -> No_violation { closed; states = Bfs.length table }
+  | Bfs.Found id ->
       let root, moves = Bfs.path table id in
-      let s, r = List.nth (List.rev !starts) root in
+      (* Roots take ids in list order, a repeated key keeping its first
+         start's id, so the first start interning to [root] is it. *)
+      let (s, r), _ = List.find (fun (_, g) -> Bfs.intern table g = root) starts in
       Violation
         {
           w_s_label = s.Protocol.label;

@@ -9,7 +9,7 @@ type ('a, 'm) t = {
   mutable parents : int array;  (* -1 at roots *)
   mutable moves : 'm array;  (* written on admission; roots have none *)
   mutable depths : int array;
-  mutable held : 'a option array;  (* None once taken *)
+  mutable held : 'a option array;  (* None once expanded *)
 }
 
 let create ~emit ~max_states () =
@@ -50,8 +50,6 @@ let record t id v ~parent ~depth =
   t.held.(id) <- Some v;
   t.n <- id + 1
 
-let root t id v = record t id v ~parent:(-1) ~depth:0
-
 let admit t id v ~parent ~move =
   t.n < t.max_states
   && begin
@@ -65,6 +63,52 @@ let take t id =
   let v = Option.get t.held.(id) in
   t.held.(id) <- None;
   v
+
+type outcome = Found of int | Exhausted of { closed : bool }
+
+let run t frontier ~roots ~depth ?(deadline = fun () -> false) ?(admitted = fun _ _ -> false)
+    ?(on_edge = fun _ _ _ -> ()) ~moves ~step () =
+  let found = ref (-1) and closed = ref true in
+  (* Pushed before the stop test, so the frontier's peak is the same
+     whether or not the search stops at this id. *)
+  let enter id v =
+    Stdx.Frontier.push frontier id;
+    if admitted id v then found := id
+  in
+  List.iter
+    (fun v ->
+      if !found < 0 then begin
+        let id = intern t v in
+        if not (mem t id) then begin
+          record t id v ~parent:(-1) ~depth:0;
+          enter id v
+        end
+      end)
+    roots;
+  while !found < 0 && not (Stdx.Frontier.is_empty frontier) do
+    if deadline () then begin
+      closed := false;
+      Stdx.Frontier.clear frontier
+    end
+    else begin
+      let id = Stdx.Frontier.pop frontier in
+      let v = take t id in
+      if t.depths.(id) >= depth then closed := false
+      else
+        List.iter
+          (fun m ->
+            if !found < 0 then
+              match step id v m with
+              | None -> ()
+              | Some v' ->
+                  let id' = intern t v' in
+                  if not (mem t id') then
+                    if admit t id' v' ~parent:id ~move:m then enter id' v' else closed := false;
+                  on_edge id m id')
+          (moves id v)
+    end
+  done;
+  if !found >= 0 then Found !found else Exhausted { closed = !closed }
 
 let depth t id = t.depths.(id)
 

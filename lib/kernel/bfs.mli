@@ -1,7 +1,9 @@
-(** The dense-id search table of the BFS engines: {!Core.Stab.search},
-    {!Core.Attack.search_single}, {!Core.Attack.search_pair} and the
-    forward pass of {!Core.Spec.recoverability}; each keeps its own
-    frontier of bare ids and its own violation rule.
+(** The one BFS loop of the search engines: {!Core.Stab.search},
+    {!Core.Attack.search_single}, {!Core.Attack.search_pair}, the
+    forward pass of {!Core.Spec.recoverability} and {!Explore.reachable}
+    all run {!run} on a table of their own.  Each engine supplies only
+    its roots, key emitter, successor rule, stop rule and what it
+    records.
 
     The table is generic over the value it holds per state (['a]: a
     {!Global.t} for the single-run engines, a pair of store ids for the
@@ -9,33 +11,61 @@
     emitter writes a value's key into a codec ({!Global.emit},
     {!Global.emit_run_key}, or the joint search's pair of fingerprint
     ids); keys intern to dense ids in first-seen order, and an id is
-    admitted exactly when it is below {!length}.  Per id the table
-    keeps the parent, the move and the depth in flat arrays; it holds
-    the value only from admission until {!take}. *)
+    admitted exactly when it is below {!length}, so ids are dense in
+    admission order.  Per id the table keeps the parent, the move and
+    the depth in flat arrays; it holds the value only from admission
+    until the id is expanded.
+
+    The contract of {!run}, on a frontier of bare ids (FIFO, so ids
+    are expanded in admission order):
+    - {b roots} are admitted at depth 0 in list order, whatever the
+      budget; a repeated root key is skipped;
+    - every admitted state, roots included, is pushed, then passed to
+      [admitted id v]; [true] stops the search at that id;
+    - at each pop, a spent [deadline] clears the frontier and ends the
+      search not closed; a state at [depth] is not expanded and the
+      search is not closed; otherwise [step id v m] runs for each [m]
+      of [moves id v], in order, and returns the successor, or [None]
+      for a move that is filtered or rejected;
+    - each successor is interned, then admitted one level deeper or,
+      when [max_states] states are in, refused, and a refusal means
+      not closed; only a new key can be refused.  Then
+      [on_edge id m id'] sees the successor, seen before or new;
+    - after a stop no further [step] runs, as no further state is
+      expanded. *)
 
 type ('a, 'm) t
 
 val create : emit:(Stdx.Codec.t -> 'a -> unit) -> max_states:int -> unit -> ('a, 'm) t
-(** {!admit} refuses once [max_states] states, roots included, are in. *)
+(** {!run} refuses a new state once [max_states] states, roots
+    included, are in. *)
+
+type outcome =
+  | Found of int  (** [admitted] returned [true] for this id *)
+  | Exhausted of { closed : bool }
+      (** the frontier ran dry; [closed = false] when a depth cut, a
+          budget refusal or the deadline hid part of the space *)
+
+val run :
+  ('a, 'm) t ->
+  Stdx.Frontier.t ->
+  roots:'a list ->
+  depth:int ->
+  ?deadline:(unit -> bool) ->
+  ?admitted:(int -> 'a -> bool) ->
+  ?on_edge:(int -> 'm -> int -> unit) ->
+  moves:(int -> 'a -> 'm list) ->
+  step:(int -> 'a -> 'm -> 'a option) ->
+  unit ->
+  outcome
+(** The search loop, as the contract above says.  [deadline] defaults
+    to never, [admitted] to never stopping, [on_edge] to nothing. *)
 
 val intern : ('a, 'm) t -> 'a -> int
 (** The id of the value's key; a new key is the next id. *)
 
 val mem : ('a, 'm) t -> int -> bool
 (** Whether the id is admitted. *)
-
-val root : ('a, 'm) t -> int -> 'a -> unit
-(** Admit a search root at depth 0, whatever the budget.
-    @raise Invalid_argument unless the id is the next to admit. *)
-
-val admit : ('a, 'm) t -> int -> 'a -> parent:int -> move:'m -> bool
-(** Admit a state reached from [parent] by [move], one level deeper;
-    [false] if the budget is spent.
-    @raise Invalid_argument unless the id is the next to admit. *)
-
-val take : ('a, 'm) t -> int -> 'a
-(** The held value, releasing its slot: called once, to expand it.
-    @raise Invalid_argument if already taken. *)
 
 val depth : ('a, 'm) t -> int -> int
 

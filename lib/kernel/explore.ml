@@ -8,91 +8,35 @@ type stats = {
 
 let all_moves _g _m = true
 
-let reachable p ~input ~depth ?(move_filter = all_moves) ?max_states ?starts () =
-  (* The intern table doubles as the seen-set: a state is new exactly
-     when its fingerprint gets a fresh id.  Each generated state is
-     emitted into one reusable codec buffer and interned in place —
-     no fingerprint string is ever materialised for a repeat state,
-     and the BFS never touches the (long) fingerprint again
-     afterwards. *)
-  let seen = Stdx.Intern.create () in
-  let scratch = Stdx.Codec.create ~size:256 () in
-  let intern g =
-    Stdx.Codec.reset scratch;
-    Global.emit scratch g;
-    Stdx.Intern.intern_bytes seen (Stdx.Codec.buffer scratch) ~pos:0
-      ~len:(Stdx.Codec.length scratch)
-  in
-  (* The frontier is a flat ring of states.  Depth needs no per-node
-     record: a strict BFS drains whole levels in order, so two
-     counters — states left in the current level, states queued for
-     the next — recover each popped state's depth without boxing a
-     [(state, depth)] tuple per node. *)
-  let frontier = Stdx.Ring.create () in
-  (* Multi-root BFS: corrupted-start sweeps seed the frontier with the
-     whole enumerated corruption space at level 0 and measure the union
-     of the per-root reachable graphs in one pass (dedup across roots
-     is the intern table's job). *)
-  let roots =
-    match starts with Some gs -> gs | None -> [ Global.initial p ~input ]
-  in
-  let level = ref 0 in
-  let this_level = ref 0 in
-  let next_level = ref 0 in
+let reachable p ~input ~depth ?(move_filter = all_moves) ?(max_states = max_int) ?starts () =
+  let table = Bfs.create ~emit:Global.emit ~max_states () in
+  let roots = match starts with Some gs -> gs | None -> [ Global.initial p ~input ] in
   let transitions = ref 0 in
   let violations = ref 0 in
   let completes = ref 0 in
-  let truncated = ref false in
-  (* The state budget is a resource guard, not a semantic bound: once
-     the seen-set reaches it the BFS stops enqueueing fresh states and
-     reports the partial statistics with [truncated] set, so callers
-     can attach a truncation note instead of running unbounded. *)
-  let over_budget () =
-    match max_states with Some m -> Stdx.Intern.length seen >= m | None -> false
+  (* The depth bound is applied here, not by [Bfs.run], so the run is
+     not closed only when the state budget refused a new state. *)
+  let outcome =
+    Bfs.run table (Stdx.Frontier.create ()) ~roots ~depth:max_int
+      ~admitted:(fun _ g ->
+        if not (Global.safety_ok g) then incr violations;
+        if Global.complete g then incr completes;
+        false)
+      ~moves:(fun id g -> if Bfs.depth table id < depth then Sim.enabled p g else [])
+      ~step:(fun _ g move ->
+        if move_filter g move then begin
+          incr transitions;
+          Some (Sim.apply p g move)
+        end
+        else None)
+      ()
   in
-  List.iter
-    (fun g0 ->
-      let _, fresh = intern g0 in
-      if fresh then begin
-        if not (Global.safety_ok g0) then incr violations;
-        if Global.complete g0 then incr completes;
-        Stdx.Ring.push frontier g0;
-        incr this_level
-      end)
-    roots;
-  while not (Stdx.Ring.is_empty frontier) do
-    if !this_level = 0 then begin
-      this_level := !next_level;
-      next_level := 0;
-      incr level
-    end;
-    let g = Stdx.Ring.pop frontier in
-    decr this_level;
-    if !level < depth then
-      List.iter
-        (fun move ->
-          if move_filter g move then begin
-            incr transitions;
-            let g' = Sim.apply p g move in
-            if over_budget () then truncated := true
-            else begin
-              let _, fresh = intern g' in
-              if fresh then begin
-                if not (Global.safety_ok g') then incr violations;
-                if Global.complete g' then incr completes;
-                Stdx.Ring.push frontier g';
-                incr next_level
-              end
-            end
-          end)
-        (Sim.enabled p g)
-  done;
   {
-    states = Stdx.Intern.length seen;
+    states = Bfs.length table;
     transitions = !transitions;
     safety_violations = !violations;
     complete_states = !completes;
-    truncated = !truncated;
+    truncated = outcome <> Bfs.Exhausted { closed = true };
   }
 
 exception Enough

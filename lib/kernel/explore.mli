@@ -13,7 +13,7 @@ type stats = {
   transitions : int;
   safety_violations : int;  (** reachable states violating Safety *)
   complete_states : int;  (** reachable states with [Y = X] *)
-  truncated : bool;  (** the [max_states] budget cut the BFS short *)
+  truncated : bool;  (** the [max_states] budget refused a new state *)
 }
 
 val reachable :
@@ -25,13 +25,17 @@ val reachable :
   ?starts:Global.t list ->
   unit ->
   stats
-(** BFS over distinct states to the given depth.  [max_states] is a
-    resource guard: when the seen-set reaches it, no further fresh
-    states are recorded and the partial statistics come back with
-    [truncated = true].  [starts] replaces the designated initial
-    state with an explicit list of roots, all at depth 0 — the
-    corrupted-start sweep measures the union space of a whole
-    perturb enumeration in one BFS (duplicate roots dedup). *)
+(** BFS over distinct states to the given depth, run by
+    {!Bfs.run} on a table keyed by {!Global.emit}.  [max_states] is a
+    resource guard: once that many states are in, a new state is
+    refused and the partial statistics come back with
+    [truncated = true].  Only a new state is ever refused, so a closed
+    space of exactly [max_states] states is not truncated; nor is one
+    cut by [depth] ([truncated] is about the budget only).  [starts]
+    replaces the designated initial state with an explicit list of
+    roots, all at depth 0 — the corrupted-start sweep measures the
+    union space of a whole perturb enumeration in one BFS (duplicate
+    roots dedup). *)
 
 val iter_runs :
   Protocol.t ->

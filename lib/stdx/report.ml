@@ -70,8 +70,8 @@ let cell_text = function
   | String s -> s
   | Bignat b -> Bignat.to_string b
 
-(* Byte-for-byte the old [Tabular.render]: the EXPERIMENTS.md tables
-   and the engine-baseline text output must not move. *)
+(* The EXPERIMENTS.md tables and the engine-baseline text output
+   depend on this layout byte for byte. *)
 let table_to_text (t : table) =
   let headers = List.map (fun c -> c.header) t.columns in
   let aligns = List.map (fun c -> c.align) t.columns in

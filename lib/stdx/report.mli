@@ -6,9 +6,9 @@
     and only then rendered.  Three renderers share the one
     representation:
 
-    - {b text} ({!to_text_body}): ASCII boxes pixel-compatible with
-      the original {!Tabular} renderer, so EXPERIMENTS.md diffs stay
-      reviewable and the engine-baseline output is byte-identical;
+    - {b text} ({!to_text_body}): ASCII boxes in a fixed layout
+      ({!table_to_text}), so EXPERIMENTS.md diffs stay reviewable and
+      the engine-baseline output is byte-identical;
     - {b JSON} ({!to_json} / {!of_json}): a stable, versioned schema
       ({!schema_version}) suitable for [--json PATH] artifacts, CI
       regression gates, and downstream tooling;
@@ -62,7 +62,7 @@ type t = {
 
 val int : int -> cell
 val float : ?decimals:int -> float -> cell
-(** [decimals] defaults to 2, matching [Tabular.cell_float]. *)
+(** [decimals] defaults to 2. *)
 
 val bool : bool -> cell
 val str : string -> cell
@@ -73,8 +73,7 @@ val column : ?unit_:string -> ?align:align -> string -> column
 val make : id:string -> title:string -> ?ok:bool -> ?notes:string list -> item list -> t
 
 type builder
-(** Mutable table accumulation, mirroring the old [Tabular] API so
-    producers stay a mechanical translation. *)
+(** Mutable table accumulation, a row at a time. *)
 
 val table : title:string -> (string * align) list -> builder
 val table_cols : title:string -> column list -> builder
@@ -91,7 +90,11 @@ val cell_text : cell -> string
     [%.*f] floats, decimal bignats. *)
 
 val table_to_text : table -> string
-(** Byte-identical to [Tabular.render] on the same content. *)
+(** The title line, then the table boxed with ASCII rules: a rule
+    above and below the header row and after the last row, one at
+    each {!sep}; every column padded to its widest cell, aligned as
+    declared.  The E1–E17 text output depends on this layout byte for
+    byte. *)
 
 val to_text_body : t -> string
 (** The report's items rendered to text, joined with newlines — for

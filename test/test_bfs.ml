@@ -1,5 +1,5 @@
-(* Tests for the dense-id search table and the BFS engines built on
-   it: table invariants, then differential oracles — each engine's
+(* Tests for the BFS driver and the engines built on it: the driver's
+   contract on a tiny space, then differential oracles — each engine's
    state count against an independent exploration of the same space. *)
 
 module Bfs = Kernel.Bfs
@@ -16,58 +16,118 @@ module Stab = Core.Stab
 
 let check = Alcotest.check
 
-(* ------------------------- the table ------------------------- *)
+(* ------------------------- the driver ------------------------- *)
 
-let norep () = Protocols.Norep.del ~m:2
+(* A tiny space for the driver's contract: the ints mod 6, where every
+   state has the moves [`Inc] to v + 1 and [`Dbl] to 2v.  From 0, BFS
+   admits 0, 1, …, 5 in that order, so a state's id is its value. *)
+let tiny_moves _ _ = [ `Inc; `Dbl ]
+let tiny_step _ v = function `Inc -> Some ((v + 1) mod 6) | `Dbl -> Some (2 * v mod 6)
+
+let tiny_run ?(max_states = 100) ?(roots = [ 0 ]) ?(depth = max_int) ?deadline ?admitted
+    ?on_edge ?(moves = tiny_moves) ?(step = tiny_step) () =
+  let t = Bfs.create ~emit:Stdx.Codec.add_varint ~max_states () in
+  let outcome =
+    Bfs.run t (Stdx.Frontier.create ()) ~roots ~depth ?deadline ?admitted ?on_edge ~moves ~step ()
+  in
+  (t, outcome)
+
+let outcome =
+  Alcotest.testable
+    (fun ppf -> function
+      | Bfs.Found id -> Format.fprintf ppf "Found %d" id
+      | Bfs.Exhausted { closed } -> Format.fprintf ppf "Exhausted { closed = %b }" closed)
+    ( = )
+
+(* Calls of a callback, oldest first. *)
+let log () =
+  let calls = ref [] in
+  ((fun x -> calls := x :: !calls), fun () -> List.rev !calls)
 
 let test_admission_is_dense () =
-  let p = norep () in
-  let g0 = Global.initial p ~input:[| 0; 1 |] in
-  let t = Bfs.create ~emit:Global.emit ~max_states:2 () in
-  let id0 = Bfs.intern t g0 in
-  check Alcotest.int "first id" 0 id0;
-  check Alcotest.bool "interned is not admitted" false (Bfs.mem t id0);
-  Bfs.root t id0 g0;
-  check Alcotest.bool "root admitted" true (Bfs.mem t id0);
-  check Alcotest.int "repeat interns to the same id" id0 (Bfs.intern t g0);
-  let g1 = Sim.apply p g0 Move.Wake_sender in
-  let id1 = Bfs.intern t g1 in
-  check Alcotest.bool "admitted under budget" true
-    (Bfs.admit t id1 g1 ~parent:id0 ~move:Move.Wake_sender);
-  let g2 = Sim.apply p g1 Move.Wake_sender in
-  let id2 = Bfs.intern t g2 in
-  check Alcotest.int "a new state interns to the next id" 2 id2;
-  check Alcotest.bool "refused at budget" false
-    (Bfs.admit t id2 g2 ~parent:id1 ~move:Move.Wake_sender);
-  check Alcotest.bool "refused id stays out" false (Bfs.mem t id2);
-  check Alcotest.int "length counts admissions" 2 (Bfs.length t);
-  check Alcotest.int "root depth" 0 (Bfs.depth t id0);
-  check Alcotest.int "one level deeper" 1 (Bfs.depth t id1);
-  check Alcotest.bool "path from the root" true (Bfs.path t id1 = (id0, [ Move.Wake_sender ]));
-  check Alcotest.bool "a root's path is empty" true (Bfs.path t id0 = (id0, []))
+  let note, admitted = log () in
+  let t, o = tiny_run ~admitted:(fun id v -> note (id, v); false) () in
+  check outcome "the space closes" (Bfs.Exhausted { closed = true }) o;
+  check Alcotest.(list (pair int int)) "ids dense in admission order"
+    (List.init 6 (fun v -> (v, v))) (admitted ());
+  check Alcotest.int "length counts admissions" 6 (Bfs.length t);
+  check Alcotest.int "a repeat interns to its id" 4 (Bfs.intern t 4);
+  check Alcotest.bool "a path from the root" true
+    (Bfs.path t 5 = (0, [ `Inc; `Inc; `Dbl; `Inc ]));
+  check Alcotest.bool "a root's path is empty" true (Bfs.path t 0 = (0, []));
+  for id = 0 to 5 do
+    let root, moves = Bfs.path t id in
+    check Alcotest.int "depth is the path length" (List.length moves) (Bfs.depth t id);
+    check Alcotest.int "the path replays to the state" id
+      (List.fold_left (fun v m -> Option.get (tiny_step 0 v m)) root moves)
+  done
 
-let test_take_releases () =
-  let p = norep () in
-  let g0 = Global.initial p ~input:[| 0 |] in
-  let t = Bfs.create ~emit:Global.emit ~max_states:10 () in
-  let id = Bfs.intern t g0 in
-  Bfs.root t id g0;
-  check Alcotest.bool "held state comes back" true (Bfs.take t id == g0);
-  check Alcotest.bool "second take raises" true
-    (match Bfs.take t id with exception Invalid_argument _ -> true | _ -> false);
-  check Alcotest.bool "per-id data outlives the state" true (Bfs.mem t id && Bfs.depth t id = 0)
+let test_repeated_root () =
+  let note, admitted = log () in
+  let t, _ = tiny_run ~roots:[ 3; 3; 0 ] ~admitted:(fun id v -> note (id, v); false) () in
+  check Alcotest.(list (pair int int)) "roots first, in list order, once each"
+    [ (0, 3); (1, 0) ]
+    (List.filteri (fun i _ -> i < 2) (admitted ()));
+  check Alcotest.(list int) "both at depth 0" [ 0; 0 ] [ Bfs.depth t 0; Bfs.depth t 1 ];
+  check Alcotest.int "the repeat added no state" 6 (Bfs.length t)
 
-let test_out_of_order_admission_rejected () =
-  let p = norep () in
-  let g0 = Global.initial p ~input:[| 0 |] in
-  let t = Bfs.create ~emit:Global.emit ~max_states:10 () in
-  check Alcotest.bool "an id that was never interned" true
-    (match Bfs.root t 3 g0 with exception Invalid_argument _ -> true | () -> false)
+let test_budget_refusal () =
+  let t, o = tiny_run ~max_states:3 () in
+  check outcome "a refusal is not closed" (Bfs.Exhausted { closed = false }) o;
+  check Alcotest.int "the budget holds" 3 (Bfs.length t);
+  check Alcotest.bool "the refused id is not admitted" false (Bfs.mem t (Bfs.intern t 3));
+  let t, o = tiny_run ~max_states:0 () in
+  check Alcotest.int "a root is admitted whatever the budget" 1 (Bfs.length t);
+  check outcome "then its successors are refused" (Bfs.Exhausted { closed = false }) o;
+  check outcome "only a new state is refused: an exact fit closes"
+    (Bfs.Exhausted { closed = true })
+    (snd (tiny_run ~max_states:6 ()))
+
+let test_depth_cut () =
+  let note, expanded = log () in
+  let t, o = tiny_run ~depth:3 ~moves:(fun id v -> note id; tiny_moves id v) () in
+  check outcome "a cut is not closed" (Bfs.Exhausted { closed = false }) o;
+  check Alcotest.int "the level at the cut is admitted" 5 (Bfs.length t);
+  check Alcotest.(list int) "each id below the depth expanded once" [ 0; 1; 2 ] (expanded ());
+  let note, expanded = log () in
+  ignore (tiny_run ~moves:(fun id v -> note id; tiny_moves id v) ());
+  check Alcotest.(list int) "uncut, every id expanded once" [ 0; 1; 2; 3; 4; 5 ] (expanded ())
+
+let test_spent_deadline () =
+  let stepped = ref false in
+  let t, o =
+    tiny_run ~deadline:(fun () -> true) ~step:(fun id v m -> stepped := true; tiny_step id v m) ()
+  in
+  check outcome "a deadline is not closed" (Bfs.Exhausted { closed = false }) o;
+  check Alcotest.int "only the root" 1 (Bfs.length t);
+  check Alcotest.bool "nothing expanded" false !stepped
+
+let test_edges_to_seen_states () =
+  let note, edges = log () in
+  ignore (tiny_run ~on_edge:(fun id m id' -> note (id, m, id')) ());
+  check Alcotest.int "every move of every state" 12 (List.length (edges ()));
+  check Alcotest.bool "0 doubles to itself" true (List.mem (0, `Dbl, 0) (edges ()));
+  check Alcotest.bool "5 wraps to the root" true (List.mem (5, `Inc, 0) (edges ()))
+
+let test_stop () =
+  let note, steps = log () in
+  let _, o =
+    tiny_run ~admitted:(fun _ v -> v = 3) ~step:(fun id v m -> note (id, m); tiny_step id v m) ()
+  in
+  check outcome "found where admitted said stop" (Bfs.Found 3) o;
+  check Alcotest.bool "no step after the stop" true
+    (steps () = [ (0, `Inc); (0, `Dbl); (1, `Inc); (1, `Dbl); (2, `Inc) ]);
+  let note, steps = log () in
+  let _, o =
+    tiny_run ~admitted:(fun _ _ -> true) ~step:(fun id v m -> note id; tiny_step id v m) ()
+  in
+  check outcome "a root can stop the search" (Bfs.Found 0) o;
+  check Alcotest.(list int) "before any step" [] (steps ())
 
 (* ------------------------- the move filter ------------------------- *)
 
 let test_move_filter () =
-  let p = norep () in
+  let p = Protocols.Norep.del ~m:2 in
   let g = Global.initial p ~input:[| 0; 1 |] in
   let keep = Bfs.move_filter ~allow_drops:false ~max_sends_per_sender:1 ~max_sends_per_receiver:0 in
   check Alcotest.bool "wake under the cap" true (keep g Move.Wake_sender);
@@ -113,30 +173,43 @@ let explore p ~input ~allow_drops =
       (Bfs.move_filter ~allow_drops ~max_sends_per_sender:caps ~max_sends_per_receiver:caps)
     ()
 
-(* A naive reference that shares no codec or intern code with the
-   engines: a stdlib Hashtbl keyed on the two process fingerprints, the
-   channels' printed forms and the output length (the components
-   [Global.emit] encodes), and a Queue of (state, depth), expanding every state
-   below [depth] under the engines' move filter.  [Explore.reachable]
-   keys through [Global.emit] and [Intern] like the engines, so a key
-   change that merged or split states would move it with them; this
-   one would not.  Returns the state count (or [None] past
-   [max_states]) and whether any state is unsafe. *)
+(* The naive references' state key, built from the components
+   [Global.emit] encodes: the two process fingerprints, the channels'
+   printed forms and the output length.  It shares no codec or intern
+   code with the engines' keys, so a key change that merged or split
+   states in the engines would not move it with them. *)
+let state_key (g : Global.t) =
+  ( Proc.encode g.Global.sender,
+    Proc.encode g.Global.receiver,
+    Format.asprintf "%a" Chan.pp g.Global.chan_sr,
+    Format.asprintf "%a" Chan.pp g.Global.chan_rs,
+    Global.output_length g )
+
+(* [state_key] refined like [Global.emit_run_key]: per channel, each
+   observed message's sent, delivered and dropped counts, and the
+   safety bit. *)
+let run_key (g : Global.t) =
+  let counts c =
+    List.map
+      (fun m -> (m, Chan.sent_count c m, Chan.delivered_count c m, Chan.dropped_count c m))
+      (Chan.observed c)
+  in
+  (state_key g, counts g.Global.chan_sr, counts g.Global.chan_rs, Global.safety_ok g)
+
+(* A naive reference: a stdlib Hashtbl keyed on [state_key] and a
+   Queue of (state, depth), expanding every state below [depth] under
+   the engines' move filter.  [Explore.reachable] keys through
+   [Global.emit] and [Intern] like the engines; this one does not.
+   Returns the state count (or [None] past [max_states]) and whether
+   any state is unsafe. *)
 let reference_single p ~input ~allow_drops =
   let keep =
     Bfs.move_filter ~allow_drops ~max_sends_per_sender:caps ~max_sends_per_receiver:caps
   in
-  let key (g : Global.t) =
-    ( Proc.encode g.Global.sender,
-      Proc.encode g.Global.receiver,
-      Format.asprintf "%a" Chan.pp g.Global.chan_sr,
-      Format.asprintf "%a" Chan.pp g.Global.chan_rs,
-      Global.output_length g )
-  in
   let seen = Hashtbl.create 1024 and queue = Queue.create () in
   let unsafe = ref false in
   let visit g d =
-    let k = key g in
+    let k = state_key g in
     if not (Hashtbl.mem seen k) then begin
       Hashtbl.add seen k ();
       if not (Global.safety_ok g) then unsafe := true;
@@ -199,7 +272,7 @@ let test_single_and_spec_match_explore () =
   check Alcotest.bool "most instances compared" true (!compared >= 100)
 
 (* The naive reference for the corrupted-root search: a stdlib Hashtbl
-   of run-key strings and a Queue of (state, depth), rooted at the same
+   keyed on [run_key] and a Queue of (state, depth), rooted at the same
    corrupted starts, skipping simulator-rejected moves.  It stops at
    its first violation, which BFS order makes a shallowest one, and
    returns that violation's depth, or else the number of states in the
@@ -208,16 +281,11 @@ let reference_stab p ~input ~depth ~caps =
   let keep =
     Bfs.move_filter ~allow_drops:true ~max_sends_per_sender:caps ~max_sends_per_receiver:caps
   in
-  let key g =
-    let c = Stdx.Codec.create () in
-    Global.emit_run_key c g;
-    Stdx.Codec.contents c
-  in
   let seen = Hashtbl.create 1024 in
   let queue = Queue.create () in
   let violation = ref None in
   let visit g d =
-    let k = key g in
+    let k = run_key g in
     if not (Hashtbl.mem seen k) then begin
       Hashtbl.add seen k ();
       if (not (Global.safety_ok g)) && !violation = None then violation := Some d;
@@ -273,7 +341,7 @@ let test_stab_matches_reference () =
   check Alcotest.bool "most seamed instances compared" true (!compared >= 35)
 
 (* The naive reference for the joint search: a stdlib Hashtbl keyed on
-   both runs' [Global.encode] strings and a Queue of (state pair,
+   both runs' [state_key]s and a Queue of (state pair,
    depth), with [Sim.apply] on every joint move and the pairing rules
    written out here.  The receiver's moves step both runs: its wake,
    under the receiver cap read on run 1, and the delivery of a message
@@ -309,7 +377,7 @@ let reference_pair p ~x1 ~x2 ~depth ~max_states ~caps =
   let queue = Queue.create () in
   let violation = ref None and truncated = ref false in
   let visit (g1, g2) d =
-    let key = (Global.encode g1, Global.encode g2) in
+    let key = (state_key g1, state_key g2) in
     if !violation = None && not (Hashtbl.mem seen key) then
       if Hashtbl.length seen >= max_states then truncated := true
       else begin
@@ -388,9 +456,16 @@ let () =
       ( "table",
         [
           Alcotest.test_case "dense admission" `Quick test_admission_is_dense;
-          Alcotest.test_case "take releases" `Quick test_take_releases;
-          Alcotest.test_case "out-of-order admission" `Quick test_out_of_order_admission_rejected;
           Alcotest.test_case "move filter" `Quick test_move_filter;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "repeated root" `Quick test_repeated_root;
+          Alcotest.test_case "budget refusal" `Quick test_budget_refusal;
+          Alcotest.test_case "depth cut" `Quick test_depth_cut;
+          Alcotest.test_case "spent deadline" `Quick test_spent_deadline;
+          Alcotest.test_case "edges to seen states" `Quick test_edges_to_seen_states;
+          Alcotest.test_case "stop" `Quick test_stop;
         ] );
       ( "oracles",
         [

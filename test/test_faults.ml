@@ -364,7 +364,24 @@ let test_explore_state_budget () =
   let capped = Kernel.Explore.reachable p ~input:[| 0; 1 |] ~depth:10 ~max_states:5 () in
   check Alcotest.bool "full not truncated" false full.Kernel.Explore.truncated;
   check Alcotest.bool "capped truncated" true capped.Kernel.Explore.truncated;
-  check Alcotest.bool "budget respected" true (capped.Kernel.Explore.states <= 5)
+  check Alcotest.bool "budget respected" true (capped.Kernel.Explore.states <= 5);
+  (* Only a new state is ever refused, so a closed space of exactly
+     [max_states] states is not truncated. *)
+  let keep =
+    Kernel.Bfs.move_filter ~allow_drops:true ~max_sends_per_sender:3 ~max_sends_per_receiver:3
+  in
+  let explore max_states =
+    Kernel.Explore.reachable p ~input:[| 0; 1 |] ~depth:200 ~move_filter:keep ~max_states ()
+  in
+  let fit = explore 60 in
+  check Alcotest.int "exact fit: all states" 60 fit.Kernel.Explore.states;
+  check Alcotest.bool "exact fit not truncated" false fit.Kernel.Explore.truncated;
+  check Alcotest.bool "one short truncated" true (explore 59).Kernel.Explore.truncated;
+  let r =
+    Core.Spec.recoverability p ~input:[ 0; 1 ] ~depth:200 ~max_states:60 ~max_sends_per_sender:3
+      ~max_sends_per_receiver:3 ~allow_drops:true ()
+  in
+  check Alcotest.bool "recoverability agrees" true r.Core.Spec.closed
 
 let test_attack_wall_budget () =
   let p = Protocols.Counting.protocol_on Chan.Reorder_dup ~domain:2 in

@@ -5,7 +5,6 @@ module Bignat = Stdx.Bignat
 module Multiset = Stdx.Multiset
 module Deque = Stdx.Deque
 module Stats = Stdx.Stats
-module Tabular = Stdx.Tabular
 module Intern = Stdx.Intern
 module Codec = Stdx.Codec
 module Frontier = Stdx.Frontier
@@ -292,31 +291,6 @@ let prop_stats_mean_bounds =
       let lo = List.fold_left Float.min infinity xs in
       let hi = List.fold_left Float.max neg_infinity xs in
       m >= lo -. 1e-9 && m <= hi +. 1e-9)
-
-(* ------------------------- Tabular ------------------------- *)
-
-let contains_substring haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  go 0
-
-let test_tabular_render () =
-  let t = Tabular.create ~title:"T" [ ("a", Tabular.Left); ("b", Tabular.Right) ] in
-  Tabular.add_row t [ "x"; "1" ];
-  Tabular.add_row t [ "longer"; "22" ];
-  let s = Tabular.render t in
-  check Alcotest.bool "contains title" true (String.length s > 0 && String.sub s 0 1 = "T");
-  check Alcotest.bool "contains cell" true (contains_substring s "longer")
-
-let test_tabular_arity () =
-  let t = Tabular.create ~title:"T" [ ("a", Tabular.Left) ] in
-  Alcotest.check_raises "arity mismatch" (Invalid_argument "Tabular.add_row: arity mismatch")
-    (fun () -> Tabular.add_row t [ "x"; "y" ])
-
-let test_tabular_cells () =
-  check Alcotest.string "int" "42" (Tabular.cell_int 42);
-  check Alcotest.string "float" "3.14" (Tabular.cell_float ~decimals:2 3.14159);
-  check Alcotest.string "bool" "yes" (Tabular.cell_bool true)
 
 (* ------------------------- Codec ------------------------- *)
 
@@ -686,12 +660,6 @@ let () =
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "histogram" `Quick test_stats_histogram;
           qtest prop_stats_mean_bounds;
-        ] );
-      ( "tabular",
-        [
-          Alcotest.test_case "render" `Quick test_tabular_render;
-          Alcotest.test_case "arity" `Quick test_tabular_arity;
-          Alcotest.test_case "cells" `Quick test_tabular_cells;
         ] );
       ( "codec",
         [
