@@ -316,6 +316,20 @@ let sched_batch_workload =
     in
     ignore (Kernel.Sched.run sessions : Kernel.Sched.result list)
 
+(* The serve request path end to end on the committed example batch
+   (examples/serve_jobs.json, compiled in): JSON text to the
+   results-artifact text — parse, resolve, schedule every job, build
+   the report, print it.  The one micro that exercises the JSON reader
+   and the scheduler step together. *)
+let serve_batch_workload () =
+  let ok = function Ok v -> v | Error e -> failwith ("serve_batch: " ^ e) in
+  let jobs = ok (Serve.batch_of_json (ok (Stdx.Json.parse Serve_jobs_text.text))) in
+  let outcomes, _ = Serve.run_batch ~jobs:1 jobs in
+  ignore
+    (Stdx.Json.to_string
+       (Stdx.Report.to_json (Serve.results_report ~label:"serve_jobs" outcomes))
+      : string)
+
 let benches =
   [
     ("e1_alpha_tightness", e1_workload);
@@ -334,6 +348,7 @@ let benches =
     ("stab_sweep", stab_sweep_workload);
     ("stab_sweep_ladder", stab_sweep_ladder_workload);
     ("sched_batch", sched_batch_workload);
+    ("serve_batch", serve_batch_workload);
     ("sweep_allpairs_shared", sweep_shared_workload);
     ("sweep_allpairs_symm", sweep_symm_workload);
     ("sweep_allpairs_swapsymm", sweep_swapsymm_workload);

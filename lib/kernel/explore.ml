@@ -49,11 +49,7 @@ let iter_runs p ~input ~depth ?(move_filter = all_moves) ?max_runs f =
      which used to duplicate the rebuild. *)
   let emit_path path =
     let builder = Trace.start p ~input in
-    List.iter
-      (fun m ->
-        let g' = Sim.apply p (Trace.current builder) m in
-        Trace.record builder m g')
-      (List.rev path);
+    List.iter (Trace.step builder) (List.rev path);
     f (Trace.finish builder);
     incr emitted;
     match max_runs with Some m when !emitted >= m -> raise Enough | _ -> ()
@@ -62,15 +58,14 @@ let iter_runs p ~input ~depth ?(move_filter = all_moves) ?max_runs f =
      replaying prefixes: instead we carry the path of moves and rebuild
      only on emit, keeping the hot loop allocation-light. *)
   let rec go g d path =
-    let stop_here =
-      d >= depth || (Global.complete g && Sim.wake_only_complete p g)
-    in
-    if stop_here then emit_path path
+    if d >= depth then emit_path path
     else begin
-      let moves = List.filter (move_filter g) (Sim.enabled p g) in
-      match moves with
-      | [] -> emit_path path
-      | _ -> List.iter (fun m -> go (Sim.apply p g m) (d + 1) (m :: path)) moves
+      let enabled = Sim.enabled p g in
+      if Global.complete g && Sim.wake_only_complete p g enabled then emit_path path
+      else
+        match List.filter (move_filter g) enabled with
+        | [] -> emit_path path
+        | moves -> List.iter (fun m -> go (Sim.apply p g m) (d + 1) (m :: path)) moves
     end
   in
   try go (Global.initial p ~input) 0 [] with Enough -> ()

@@ -4,8 +4,6 @@ type t = {
   input : int array;
   sender : Proc.t;
   receiver : Proc.t;
-  s_hist : Hist.t;
-  r_hist : Hist.t;
   chan_sr : Chan.t;
   chan_rs : Chan.t;
   output_rev : int list;
@@ -19,8 +17,6 @@ let initial ?sender ?receiver (p : Protocol.t) ~input =
     input;
     sender = (match sender with Some s -> s | None -> p.Protocol.make_sender ~input);
     receiver = (match receiver with Some r -> r | None -> p.Protocol.make_receiver ());
-    s_hist = Hist.empty;
-    r_hist = Hist.empty;
     chan_sr = Chan.create p.Protocol.channel;
     chan_rs = Chan.create p.Protocol.channel;
     output_rev = [];
@@ -37,14 +33,6 @@ let output_length t = t.output_len
    simulator on every Write, so the per-step safety check is O(1)
    instead of rescanning the output tape. *)
 let safety_ok t = t.output_ok
-
-let write t d =
-  {
-    t with
-    output_rev = d :: t.output_rev;
-    output_len = t.output_len + 1;
-    output_ok = t.output_ok && t.output_len < Array.length t.input && t.input.(t.output_len) = d;
-  }
 
 let complete t = output_length t = Array.length t.input
 
@@ -64,17 +52,12 @@ let encode t =
   emit c t;
   Stdx.Codec.contents c
 
-let emit_with_r_view c t =
-  emit c t;
-  Hist.emit c t.r_hist
-
 (* Everything a state-space engine's *decisions* can read: the
    fingerprint plus the channel counters (send caps, debt) and the
-   safety bit.  Histories and the clock are excluded — they are
-   write-only accumulators that never feed back into process or
-   channel evolution — so equal keys certify that stepping either
-   state produces successors that are again equal under this key and
-   indistinguishable to every search. *)
+   safety bit.  The clock is excluded — a write-only accumulator that
+   never feeds back into process or channel evolution — so equal keys
+   certify that stepping either state produces successors that are
+   again equal under this key and indistinguishable to every search. *)
 let emit_run_key c t =
   Proc.emit c t.sender;
   Proc.emit c t.receiver;
@@ -82,8 +65,3 @@ let emit_run_key c t =
   Chan.emit_run_key c t.chan_rs;
   Stdx.Codec.add_varint c (output_length t);
   Stdx.Codec.add_byte c (if t.output_ok then 1 else 0)
-
-let encode_with_r_view t =
-  let c = Stdx.Codec.create ~size:160 () in
-  emit_with_r_view c t;
-  Stdx.Codec.contents c

@@ -46,25 +46,6 @@ let encode t =
   List.iter (add_entry_code buf) (to_list t);
   Buffer.contents buf
 
-(* Binary form for codec-based fingerprints: length header, then one
-   tag byte + payload varint per entry, oldest first. *)
-let emit c t =
-  Stdx.Codec.add_varint c t.len;
-  List.iter
-    (fun e ->
-      match e with
-      | Woke -> Stdx.Codec.add_char c 'w'
-      | Got m ->
-          Stdx.Codec.add_char c 'g';
-          Stdx.Codec.add_varint c m
-      | Sent m ->
-          Stdx.Codec.add_char c 's';
-          Stdx.Codec.add_varint c m
-      | Wrote d ->
-          Stdx.Codec.add_char c 'o';
-          Stdx.Codec.add_varint c d)
-    (to_list t)
-
 let equal a b = a.len = b.len && a.rev = b.rev
 
 let pp_entry ppf = function

@@ -6,7 +6,10 @@
     histories are equal.  Recording at the kernel level guarantees the
     complete-history interpretation regardless of how forgetful a
     protocol's own state is, which is what the paper's impossibility
-    arguments assume ("we are losing no generality in doing so"). *)
+    arguments assume ("we are losing no generality in doing so").  The
+    trace builder ({!Trace}) does the recording, from each step's move
+    and the stepped process's actions; {!Trace.r_view} and
+    {!Trace.s_view} hand out the histories as values of this type. *)
 
 type entry =
   | Woke  (** the scheduler gave the process a local step *)
@@ -37,15 +40,10 @@ val prefix : t -> int -> t
     @raise Invalid_argument if [n] exceeds [length t]. *)
 
 val encode : t -> string
-(** Canonical encoding; equal strings iff equal histories.  Views are
-    compared and hashed through this, millions of times per
-    experiment, so the encoding is computed incrementally as entries
-    are appended. *)
-
-val emit : Stdx.Codec.t -> t -> unit
-(** Append the canonical binary form (length header, then tagged
-    varint entries, oldest first) — the view-distinguishing component
-    of {!Global.encode_with_r_view}. *)
+(** Canonical encoding; equal strings iff equal histories.  Computed on
+    demand, in one pass over the entries: the knowledge layer, which
+    compares and hashes views through it, encodes each point's view
+    once. *)
 
 val equal : t -> t -> bool
 

@@ -43,7 +43,7 @@ let moves_of_witness_run (p : Protocol.t) ~input ~moves =
     | move :: rest ->
         let g = Trace.current builder in
         if List.exists (Move.equal move) (Sim.enabled p g) then begin
-          Trace.record builder move (Sim.apply p g move);
+          Trace.step builder move;
           go rest
         end
   in

@@ -95,15 +95,13 @@ let step l =
     if Global.complete g && l.roll_left <= 0 then Some Completed
     else begin
       let enabled = Sim.enabled p g in
-      if (not (Global.complete g)) && List.length enabled = 2 && Sim.wake_only_complete p g
-      then Some Quiescent
+      if (not (Global.complete g)) && Sim.wake_only_complete p g enabled then Some Quiescent
       else
         match l.spec.strategy.Strategy.choose l.spec.rng p g enabled with
         | None -> Some Strategy_end
         | Some move ->
-            let g' = Sim.apply p g move in
-            Trace.record l.builder move g';
-            if Global.complete g' then
+            Trace.step l.builder move;
+            if Global.complete (Trace.current l.builder) then
               l.roll_left <- (if Global.complete g then l.roll_left - 1 else l.spec.post_roll);
             l.steps <- l.steps + 1;
             None

@@ -18,56 +18,89 @@ let is_delivery = function
 let is_drop = function Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> true | _ -> false
 
 let fair_random ?(deliver_weight = 4) ?(wake_weight = 2) ?(drop_weight = 0) () =
+  (* A move of weight [<= 0] is never chosen; the draw is one
+     [Rng.int] over the positive weights' total, walked in list order. *)
   let weight m =
-    if is_wake m then wake_weight else if is_delivery m then deliver_weight else drop_weight
+    let w =
+      if is_wake m then wake_weight else if is_delivery m then deliver_weight else drop_weight
+    in
+    if w > 0 then w else 0
+  in
+  let rec total acc = function [] -> acc | m :: rest -> total (acc + weight m) rest in
+  let rec pick target acc = function
+    | [] -> assert false
+    | m :: rest ->
+        let acc = acc + weight m in
+        if target < acc then m else pick target acc rest
   in
   {
     name = "fair-random";
     choose =
       (fun rng _p _g enabled ->
-        let weighted = List.filter_map (fun m -> let w = weight m in if w > 0 then Some (m, w) else None) enabled in
-        match weighted with
-        | [] -> None
-        | _ -> Some (Stdx.Rng.pick_weighted rng weighted));
+        match total 0 enabled with
+        | 0 -> None
+        | total -> Some (pick (Stdx.Rng.int rng total) 0 enabled));
   }
+
+let delivers_to side m =
+  match (side, m) with
+  | `R, Move.Deliver_to_receiver _ | `S, Move.Deliver_to_sender _ -> true
+  | _ -> false
+
+let symbol = function
+  | Move.Deliver_to_receiver x | Move.Deliver_to_sender x -> x
+  | _ -> invalid_arg "Strategy.symbol: not a delivery"
+
+(* How many deliveries to [side] carry a symbol below [x] ([strict])
+   or at most [x]. *)
+let rec rank side ~strict x n = function
+  | [] -> n
+  | m :: rest ->
+      let below =
+        delivers_to side m && (let y = symbol m in if strict then y < x else y <= x)
+      in
+      rank side ~strict x (if below then n + 1 else n) rest
+
+let rec count_deliveries side n = function
+  | [] -> n
+  | m :: rest -> count_deliveries side (if delivers_to side m then n + 1 else n) rest
+
+(* The delivery to [side] whose rank range in [enabled] covers index
+   [k] — the element at index [k] of the candidates sorted by symbol,
+   found without building the sorted list (equal symbols are equal
+   moves, so ties do not matter). *)
+let rec select side k enabled = function
+  | [] -> invalid_arg "Strategy.select"
+  | m :: rest ->
+      if
+        delivers_to side m
+        && rank side ~strict:true (symbol m) 0 enabled <= k
+        && k < rank side ~strict:false (symbol m) 0 enabled
+      then m
+      else select side k enabled rest
 
 (* Rotate through the deliverable set by time so that, on duplication
    channels (whose deliverable set never shrinks), every message keeps
-   being delivered — always taking the smallest would starve the rest. *)
-let rotating_delivery_to p ~time enabled =
-  let candidates =
-    List.filter_map
-      (fun m ->
-        match (p, m) with
-        | `R, Move.Deliver_to_receiver x -> Some (x, m)
-        | `S, Move.Deliver_to_sender x -> Some (x, m)
-        | _ -> None)
-      enabled
-  in
-  match List.sort (fun (a, _) (b, _) -> Int.compare a b) candidates with
-  | [] -> None
-  | sorted ->
-      let _, m = List.nth sorted (time / 4 mod List.length sorted) in
-      Some m
+   being delivered — always taking the smallest would starve the rest.
+   With no delivery to make, the phase falls back to [fallback]. *)
+let rotating_delivery_to side ~time ~fallback enabled =
+  match count_deliveries side 0 enabled with
+  | 0 -> fallback
+  | n -> select side (time / 4 mod n) enabled enabled
 
 let round_robin =
   {
     name = "round-robin";
     choose =
       (fun _rng _p (g : Global.t) enabled ->
-        let phase = g.Global.time mod 4 in
-        let preference =
-          match phase with
-          | 0 -> Some Move.Wake_sender
-          | 1 -> rotating_delivery_to `R ~time:g.Global.time enabled
-          | 2 -> Some Move.Wake_receiver
-          | _ -> rotating_delivery_to `S ~time:g.Global.time enabled
-        in
-        match preference with
-        | Some m when List.exists (Move.equal m) enabled -> Some m
-        | _ ->
-            (* Fall back: next wake in the rotation. *)
-            if phase < 2 then Some Move.Wake_sender else Some Move.Wake_receiver);
+        let time = g.Global.time in
+        (* Wake S, deliver to R, wake R, deliver to S; a phase with no
+           delivery to make falls back to the wake of its half. *)
+        match time mod 4 with
+        | 0 -> Some Move.Wake_sender
+        | 1 -> Some (rotating_delivery_to `R ~time ~fallback:Move.Wake_sender enabled)
+        | 2 -> Some Move.Wake_receiver
+        | _ -> Some (rotating_delivery_to `S ~time ~fallback:Move.Wake_receiver enabled));
   }
 
 let newest_first =
@@ -112,14 +145,31 @@ let dup_flood ?(burst = 3) () =
 let total_dropped (g : Global.t) =
   Chan.dropped_total g.Global.chan_sr + Chan.dropped_total g.Global.chan_rs
 
+let rec count_drops n = function
+  | [] -> n
+  | m :: rest -> count_drops (if is_drop m then n + 1 else n) rest
+
+let rec nth_drop k = function
+  | [] -> invalid_arg "Strategy.nth_drop"
+  | m :: rest -> if is_drop m then if k = 0 then m else nth_drop (k - 1) rest else nth_drop k rest
+
+(* [enabled] without its drops; the longest drop-free tail is shared,
+   so a list with no drop comes back as it is. *)
+let rec without_drops = function
+  | [] -> []
+  | m :: rest as l ->
+      let rest' = without_drops rest in
+      if is_drop m then rest' else if rest' == rest then l else m :: rest'
+
 let drop_rate p inner =
   {
     name = Printf.sprintf "%s+drop(%.2f)" inner.name p;
     choose =
       (fun rng proto g enabled ->
-        let drops = List.filter is_drop enabled in
-        if drops <> [] && Stdx.Rng.float rng < p then Some (Stdx.Rng.pick rng drops)
-        else inner.choose rng proto g (List.filter (fun m -> not (is_drop m)) enabled));
+        let drops = count_drops 0 enabled in
+        if drops > 0 && Stdx.Rng.float rng < p then
+          Some (nth_drop (Stdx.Rng.int rng drops) enabled)
+        else inner.choose rng proto g (without_drops enabled));
   }
 
 let drop_first n inner =
@@ -127,9 +177,8 @@ let drop_first n inner =
     name = Printf.sprintf "%s+drop-first(%d)" inner.name n;
     choose =
       (fun rng proto g enabled ->
-        let drops = List.filter is_drop enabled in
-        if total_dropped g < n && drops <> [] then Some (List.hd drops)
-        else inner.choose rng proto g (List.filter (fun m -> not (is_drop m)) enabled));
+        if total_dropped g < n && count_drops 0 enabled > 0 then Some (nth_drop 0 enabled)
+        else inner.choose rng proto g (without_drops enabled));
   }
 
 let drop_after ~at n inner =
@@ -137,9 +186,9 @@ let drop_after ~at n inner =
     name = Printf.sprintf "%s+drop-after(%d,%d)" inner.name at n;
     choose =
       (fun rng proto (g : Global.t) enabled ->
-        let drops = List.filter is_drop enabled in
-        if g.Global.time >= at && total_dropped g < n && drops <> [] then Some (List.hd drops)
-        else inner.choose rng proto g (List.filter (fun m -> not (is_drop m)) enabled));
+        if g.Global.time >= at && total_dropped g < n && count_drops 0 enabled > 0 then
+          Some (nth_drop 0 enabled)
+        else inner.choose rng proto g (without_drops enabled));
   }
 
 let scripted moves =

@@ -1,11 +1,42 @@
+(* Growable arrays: the builder's per-step records. *)
+module Vec = struct
+  type 'a t = { mutable a : 'a array; mutable n : int; fill : 'a }
+
+  let create fill = { a = Array.make 32 fill; n = 0; fill }
+
+  let push v x =
+    if v.n = Array.length v.a then begin
+      let a = Array.make (2 * v.n) v.fill in
+      Array.blit v.a 0 a 0 v.n;
+      v.a <- a
+    end;
+    v.a.(v.n) <- x;
+    v.n <- v.n + 1
+
+  let to_array v = Array.sub v.a 0 v.n
+end
+
+(* A history entry as one int: the payload above a two-bit tag. *)
+let woke = 0
+let got m = (m lsl 2) lor 1
+let sent m = (m lsl 2) lor 2
+let wrote d = (d lsl 2) lor 3
+
+let entry code =
+  match code land 3 with
+  | 0 -> Hist.Woke
+  | 1 -> Hist.Got (code asr 2)
+  | 2 -> Hist.Sent (code asr 2)
+  | _ -> Hist.Wrote (code asr 2)
+
 type t = {
   protocol_name : string;
   input : int array;
   moves : Move.t array;
-  r_hist_final : Hist.t;
-  s_hist_final : Hist.t;
-  r_view_len : int array; (* per point, length = moves + 1 *)
-  s_view_len : int array;
+  s_entries : int array; (* both complete histories, coded, whole run *)
+  r_entries : int array;
+  s_view_len : int array; (* per point, length = moves + 1 *)
+  r_view_len : int array;
   out_len : int array;
   outputs : int array; (* final output tape *)
   final : Global.t;
@@ -14,59 +45,94 @@ type t = {
 }
 
 type builder = {
-  name : string;
-  b_input : int array;
-  mutable rev_moves : Move.t list;
-  mutable rev_r_len : int list; (* per point *)
-  mutable rev_s_len : int list;
-  mutable rev_out_len : int list;
+  protocol : Protocol.t;
   mutable state : Global.t;
+  b_moves : Move.t Vec.t;
+  s_hist : int Vec.t; (* coded entries *)
+  r_hist : int Vec.t;
+  s_len : int Vec.t; (* per point *)
+  r_len : int Vec.t;
+  b_out_len : int Vec.t;
   mutable completed : int option;
   mutable violated : int option;
-  mutable steps : int;
 }
 
 let start ?sender ?receiver (p : Protocol.t) ~input =
   let g0 = Global.initial ?sender ?receiver p ~input in
-  {
-    name = p.Protocol.name;
-    b_input = input;
-    rev_moves = [];
-    rev_r_len = [ 0 ];
-    rev_s_len = [ 0 ];
-    rev_out_len = [ 0 ];
-    state = g0;
-    completed = (if Global.complete g0 then Some 0 else None);
-    violated = None;
-    steps = 0;
-  }
+  let b =
+    {
+      protocol = p;
+      state = g0;
+      b_moves = Vec.create Move.Wake_sender;
+      s_hist = Vec.create 0;
+      r_hist = Vec.create 0;
+      s_len = Vec.create 0;
+      r_len = Vec.create 0;
+      b_out_len = Vec.create 0;
+      completed = (if Global.complete g0 then Some 0 else None);
+      violated = None;
+    }
+  in
+  Vec.push b.s_len 0;
+  Vec.push b.r_len 0;
+  Vec.push b.b_out_len 0;
+  b
 
 let current b = b.state
 
-let record b move (g' : Global.t) =
-  b.rev_moves <- move :: b.rev_moves;
-  b.rev_r_len <- Hist.length g'.Global.r_hist :: b.rev_r_len;
-  b.rev_s_len <- Hist.length g'.Global.s_hist :: b.rev_s_len;
-  b.rev_out_len <- Global.output_length g' :: b.rev_out_len;
+let rec record_actions h = function
+  | [] -> ()
+  | Action.Send m :: rest ->
+      Vec.push h (sent m);
+      record_actions h rest
+  | Action.Write d :: rest ->
+      Vec.push h (wrote d);
+      record_actions h rest
+
+let step b move =
+  let g', actions = Sim.transition b.protocol b.state move in
+  (* The stepped process observes its event, then its actions in
+     emission order; drops, restarts and corruptions step no process
+     and record nothing. *)
+  (match move with
+  | Move.Wake_sender ->
+      Vec.push b.s_hist woke;
+      record_actions b.s_hist actions
+  | Move.Deliver_to_sender m ->
+      Vec.push b.s_hist (got m);
+      record_actions b.s_hist actions
+  | Move.Wake_receiver ->
+      Vec.push b.r_hist woke;
+      record_actions b.r_hist actions
+  | Move.Deliver_to_receiver m ->
+      Vec.push b.r_hist (got m);
+      record_actions b.r_hist actions
+  | Move.Drop_to_receiver _ | Move.Drop_to_sender _ | Move.Restart_sender | Move.Restart_receiver
+  | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
+      ());
+  Vec.push b.b_moves move;
+  Vec.push b.s_len b.s_hist.n;
+  Vec.push b.r_len b.r_hist.n;
+  Vec.push b.b_out_len (Global.output_length g');
   b.state <- g';
-  b.steps <- b.steps + 1;
+  let steps = b.b_moves.n in
   (match b.completed with
-  | None when Global.complete g' -> b.completed <- Some b.steps
+  | None when Global.complete g' -> b.completed <- Some steps
   | _ -> ());
   match b.violated with
-  | None when not (Global.safety_ok g') -> b.violated <- Some b.steps
+  | None when not (Global.safety_ok g') -> b.violated <- Some steps
   | _ -> ()
 
 let finish b =
   {
-    protocol_name = b.name;
-    input = b.b_input;
-    moves = Array.of_list (List.rev b.rev_moves);
-    r_hist_final = b.state.Global.r_hist;
-    s_hist_final = b.state.Global.s_hist;
-    r_view_len = Array.of_list (List.rev b.rev_r_len);
-    s_view_len = Array.of_list (List.rev b.rev_s_len);
-    out_len = Array.of_list (List.rev b.rev_out_len);
+    protocol_name = b.protocol.Protocol.name;
+    input = b.state.Global.input;
+    moves = Vec.to_array b.b_moves;
+    s_entries = Vec.to_array b.s_hist;
+    r_entries = Vec.to_array b.r_hist;
+    s_view_len = Vec.to_array b.s_len;
+    r_view_len = Vec.to_array b.r_len;
+    out_len = Vec.to_array b.b_out_len;
     outputs = Array.of_list (Global.output b.state);
     final = b.state;
     completed_at = b.completed;
@@ -79,8 +145,17 @@ let length t = Array.length t.moves
 let moves t = t.moves
 let final t = t.final
 
-let r_view t time = Hist.prefix t.r_hist_final t.r_view_len.(time)
-let s_view t time = Hist.prefix t.s_hist_final t.s_view_len.(time)
+(* A view is rebuilt from the run's coded entries on each call: the
+   trace shares nothing mutable, so parallel readers are safe. *)
+let view entries n =
+  let h = ref Hist.empty in
+  for i = 0 to n - 1 do
+    h := Hist.add !h (entry entries.(i))
+  done;
+  !h
+
+let r_view t time = view t.r_entries t.r_view_len.(time)
+let s_view t time = view t.s_entries t.s_view_len.(time)
 
 let output_length_at t time = t.out_len.(time)
 

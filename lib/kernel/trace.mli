@@ -2,9 +2,13 @@
 
     A trace records everything the knowledge layer and the verdict
     checkers need about one execution: the input tape, the move
-    sequence, per-time history lengths (so the local view at any point
-    [(r,t)] can be reconstructed), output growth, and the final global
-    state.  Traces are immutable once finished. *)
+    sequence, both processes' complete local histories with their
+    per-time lengths (so the local view at any point [(r,t)] can be
+    reconstructed), output growth, and the final global state.  The
+    histories of the complete-history interpretation (§2.3) live here
+    and nowhere else: the builder records them from each step's move
+    and the stepped process's actions, so global states stay free of
+    them.  Traces are immutable once finished. *)
 
 type t
 
@@ -19,9 +23,13 @@ val start : ?sender:Proc.t -> ?receiver:Proc.t -> Protocol.t -> input:int array 
 
 val current : builder -> Global.t
 
-val record : builder -> Move.t -> Global.t -> unit
-(** [record b move g'] appends one transition.  [g'] must be the
-    result of [Sim.apply _ (current b) move]. *)
+val step : builder -> Move.t -> unit
+(** [step b move] performs [move] from [current b] ({!Sim.transition})
+    and records it: the move, the stepped process's history entries
+    ([Woke] or [Got m], then [Sent]/[Wrote] in action order; drops,
+    restarts and corruptions record none) and the point's lengths.
+    @raise Sim.Model_violation as {!Sim.transition} does, recording
+    nothing. *)
 
 val finish : builder -> t
 
@@ -37,7 +45,8 @@ val final : t -> Global.t
 
 val r_view : t -> int -> Hist.t
 (** [r_view t time] is the receiver's complete local history at point
-    [(t, time)], [0 <= time <= length t]. *)
+    [(t, time)], [0 <= time <= length t].  Rebuilt on each call from
+    the trace's own immutable record, in time linear in its length. *)
 
 val s_view : t -> int -> Hist.t
 

@@ -17,9 +17,13 @@ val push_front : 'a t -> 'a -> 'a t
 (** Enqueue at the front (used to undo a pop during search). *)
 
 val pop_front : 'a t -> ('a * 'a t) option
-(** Dequeue from the front (the delivering end). *)
+(** Dequeue from the front (the delivering end).  The pop that takes
+    the last element of the front list reverses the back list into
+    its place. *)
 
 val peek_front : 'a t -> 'a option
+(** O(1): the head of a non-empty deque is always at the front of the
+    representation, so peeking never reverses anything. *)
 
 val to_list : 'a t -> 'a list
 (** Front to back. *)

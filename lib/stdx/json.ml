@@ -87,28 +87,32 @@ let to_string v =
 
 exception Fail of int * string
 
+(* A cursor over [s]: [!pos] is the next byte, read in place, so
+   nothing is allocated per byte, and a string without escapes is
+   copied out once. *)
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Fail (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
+  let at c = !pos < n && s.[!pos] = c in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | Some _ | None -> ()
+    if !pos < n then
+      match s.[!pos] with
+      | ' ' | '\t' | '\n' | '\r' ->
+          incr pos;
+          skip_ws ()
+      | _ -> ()
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail (Printf.sprintf "expected %C, found %C" c c')
-    | None -> fail (Printf.sprintf "expected %C, found end of input" c)
+    if !pos >= n then fail (Printf.sprintf "expected %C, found end of input" c)
+    else if s.[!pos] = c then incr pos
+    else fail (Printf.sprintf "expected %C, found %C" c s.[!pos])
   in
   let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
-      pos := !pos + String.length word;
+    let len = String.length word in
+    let rec matches i = i = len || (s.[!pos + i] = word.[i] && matches (i + 1)) in
+    if !pos + len <= n && matches 0 then begin
+      pos := !pos + len;
       v
     end
     else fail (Printf.sprintf "expected %s" word)
@@ -127,54 +131,73 @@ let parse s =
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
     end
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
+  (* The rest of a string whose escape-free prefix starts at [start],
+     with the cursor on the first backslash. *)
+  let escaped_string start =
+    let buf = Buffer.create (2 * (!pos - start) + 16) in
+    Buffer.add_substring buf s start (!pos - start);
     let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char buf '\\'; go ()
-          | Some '/' -> advance (); Buffer.add_char buf '/'; go ()
-          | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
-          | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
-          | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
-          | Some 'b' -> advance (); Buffer.add_char buf '\b'; go ()
-          | Some 'f' -> advance (); Buffer.add_char buf '\012'; go ()
-          | Some 'u' ->
-              advance ();
+      if !pos >= n then fail "unterminated string";
+      match s.[!pos] with
+      | '"' -> incr pos
+      | '\\' ->
+          incr pos;
+          if !pos >= n then fail "unterminated escape";
+          let add c =
+            incr pos;
+            Buffer.add_char buf c
+          in
+          (match s.[!pos] with
+          | '"' -> add '"'
+          | '\\' -> add '\\'
+          | '/' -> add '/'
+          | 'n' -> add '\n'
+          | 't' -> add '\t'
+          | 'r' -> add '\r'
+          | 'b' -> add '\b'
+          | 'f' -> add '\012'
+          | 'u' ->
+              incr pos;
               if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
               let code =
-                match int_of_string_opt ("0x" ^ hex) with
+                match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
                 | Some c -> c
                 | None -> fail "bad \\u escape"
               in
               if code >= 0xd800 && code <= 0xdfff then fail "surrogate escapes unsupported";
               pos := !pos + 4;
-              utf8_of_code buf code;
-              go ()
-          | Some c -> fail (Printf.sprintf "bad escape \\%C" c)
-          | None -> fail "unterminated escape")
-      | Some c ->
-          advance ();
+              utf8_of_code buf code
+          | c -> fail (Printf.sprintf "bad escape \\%C" c));
+          go ()
+      | c ->
+          incr pos;
           Buffer.add_char buf c;
           go ()
     in
     go ();
     Buffer.contents buf
   in
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    let rec plain () =
+      if !pos >= n then fail "unterminated string";
+      match s.[!pos] with
+      | '"' ->
+          incr pos;
+          String.sub s start (!pos - 1 - start)
+      | '\\' -> escaped_string start
+      | _ ->
+          incr pos;
+          plain ()
+    in
+    plain ()
+  in
+  let is_num_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false in
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | Some _ | None -> false) do
-      advance ()
+    while !pos < n && is_num_char s.[!pos] do
+      incr pos
     done;
     let tok = String.sub s start (!pos - start) in
     let is_float = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok in
@@ -192,40 +215,40 @@ let parse s =
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some '[' ->
-        advance ();
+    if !pos >= n then fail "unexpected end of input";
+    match s.[!pos] with
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> String (parse_string ())
+    | '[' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
+        if at ']' then begin
+          incr pos;
           List []
         end
         else begin
           let rec items acc =
             let v = parse_value () in
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
+            if !pos >= n then fail "unterminated array";
+            match s.[!pos] with
+            | ',' ->
+                incr pos;
                 items (v :: acc)
-            | Some ']' ->
-                advance ();
+            | ']' ->
+                incr pos;
                 List.rev (v :: acc)
-            | Some c -> fail (Printf.sprintf "expected ',' or ']', found %C" c)
-            | None -> fail "unterminated array"
+            | c -> fail (Printf.sprintf "expected ',' or ']', found %C" c)
           in
           List (items [])
         end
-    | Some '{' ->
-        advance ();
+    | '{' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
+        if at '}' then begin
+          incr pos;
           Obj []
         end
         else begin
@@ -240,20 +263,20 @@ let parse s =
           let rec fields acc =
             let kv = field () in
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
+            if !pos >= n then fail "unterminated object";
+            match s.[!pos] with
+            | ',' ->
+                incr pos;
                 fields (kv :: acc)
-            | Some '}' ->
-                advance ();
+            | '}' ->
+                incr pos;
                 List.rev (kv :: acc)
-            | Some c -> fail (Printf.sprintf "expected ',' or '}', found %C" c)
-            | None -> fail "unterminated object"
+            | c -> fail (Printf.sprintf "expected ',' or '}', found %C" c)
           in
           Obj (fields [])
         end
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %C" c)
+    | '-' | '0' .. '9' -> parse_number ()
+    | c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   match
     let v = parse_value () in
@@ -264,7 +287,11 @@ let parse s =
   | v -> Ok v
   | exception Fail (at, msg) -> Error (Printf.sprintf "json: at byte %d: %s" at msg)
 
-let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
+let rec assoc k = function
+  | [] -> None
+  | (k', v) :: rest -> if String.equal k k' then Some v else assoc k rest
+
+let member k = function Obj fields -> assoc k fields | _ -> None
 
 let rec equal a b =
   match (a, b) with

@@ -149,13 +149,14 @@ let test_sim_wake_and_deliver () =
 
 let test_sim_histories_recorded () =
   let p = tiny Chan.Perfect in
-  let g = Global.initial p ~input:[| 3 |] in
-  let g = Sim.apply p g Move.Wake_sender in
-  let g = Sim.apply p g (Move.Deliver_to_receiver 3) in
+  let b = Trace.start p ~input:[| 3 |] in
+  Trace.step b Move.Wake_sender;
+  Trace.step b (Move.Deliver_to_receiver 3);
+  let trace = Trace.finish b in
   check Alcotest.bool "sender history" true
-    (Hist.to_list g.Global.s_hist = [ Hist.Woke; Hist.Sent 3 ]);
+    (Hist.to_list (Trace.s_view trace 2) = [ Hist.Woke; Hist.Sent 3 ]);
   check Alcotest.bool "receiver history" true
-    (Hist.to_list g.Global.r_hist = [ Hist.Got 3; Hist.Wrote 3 ])
+    (Hist.to_list (Trace.r_view trace 2) = [ Hist.Got 3; Hist.Wrote 3 ])
 
 let test_sim_rejects_sender_write () =
   let g = Global.initial bad_sender_writes ~input:[| 0 |] in
@@ -206,11 +207,11 @@ let test_wake_only_complete_detects_deadlock () =
     }
   in
   let g = Global.initial inert ~input:[| 0 |] in
-  check Alcotest.bool "quiescent" true (Sim.wake_only_complete inert g);
+  check Alcotest.bool "quiescent" true (Sim.wake_only_complete inert g (Sim.enabled inert g));
   let p = tiny Chan.Perfect in
   let g = Global.initial p ~input:[| 0 |] in
   check Alcotest.bool "tiny is not quiescent (sender will send)" false
-    (Sim.wake_only_complete p g)
+    (Sim.wake_only_complete p g (Sim.enabled p g))
 
 (* ------------------------- Runner ------------------------- *)
 
@@ -576,6 +577,251 @@ let prop_proc_encode_iff_equal =
       && String.length (encode a)
          = String.length (Marshal.to_string a []) - Marshal.header_size)
 
+(* ------------------------- history oracle ------------------------- *)
+
+(* The trace builder records the complete histories from each step's
+   move and actions.  This reference rebuilds them independently: it
+   replays the moves with [Sim.apply], and for every move that steps a
+   process it re-runs [Proc.step] on that process as it was before the
+   step, folding the event and the actions into [Hist] values and the
+   writes into the output tape. *)
+let reference_points p trace =
+  let n = Trace.length trace in
+  let s_views = Array.make (n + 1) Hist.empty and r_views = Array.make (n + 1) Hist.empty in
+  let outputs = Array.make (n + 1) [] in
+  let observe h proc event =
+    let _, actions = Proc.step proc event in
+    (List.fold_left Hist.add_action (Hist.add_event h event) actions, actions)
+  in
+  let g = ref (Global.initial p ~input:(Trace.input trace)) in
+  Array.iteri
+    (fun t move ->
+      let before = !g in
+      let sender event =
+        let s, _ = observe s_views.(t) before.Global.sender event in
+        (s, r_views.(t), [])
+      in
+      let receiver event =
+        let r, actions = observe r_views.(t) before.Global.receiver event in
+        (s_views.(t), r, List.filter_map (function Action.Write d -> Some d | _ -> None) actions)
+      in
+      let s, r, writes =
+        match move with
+        | Move.Wake_sender -> sender Event.Wake
+        | Move.Deliver_to_sender m -> sender (Event.Deliver m)
+        | Move.Wake_receiver -> receiver Event.Wake
+        | Move.Deliver_to_receiver m -> receiver (Event.Deliver m)
+        | Move.Drop_to_receiver _ | Move.Drop_to_sender _ | Move.Restart_sender
+        | Move.Restart_receiver | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
+            (s_views.(t), r_views.(t), [])
+      in
+      s_views.(t + 1) <- s;
+      r_views.(t + 1) <- r;
+      outputs.(t + 1) <- outputs.(t) @ writes;
+      g := Sim.apply p before move)
+    (Trace.moves trace);
+  (s_views, r_views, outputs)
+
+let oracle_channels =
+  Chan.[ Perfect; Fifo_lossy; Reorder_dup; Reorder_del; Bounded_reorder { lag = 1 } ]
+
+(* Every registry protocol on every channel its builder accepts, with
+   an input from its allowable set (coded's holds only inputs of
+   length at most one). *)
+let oracle_instances () =
+  List.concat_map
+    (fun name ->
+      List.filter_map
+        (fun channel ->
+          let config =
+            { Kernel.Registry.default with Kernel.Registry.channel; domain = 2; max_len = 3 }
+          in
+          match Kernel.Registry.build_protocol ~name config with
+          | Ok p ->
+              let input = if name = "coded" then [| 1 |] else [| 0; 1; 1 |] in
+              Some (Printf.sprintf "%s/%s" name (Chan.to_string channel), p, input)
+          | Error _ -> None)
+        oracle_channels)
+    (Kernel.Registry.protocol_names ())
+
+(* Crash-restarts of both processes, plus a corruption of each process
+   the protocol declares a corrupted-start space for. *)
+let fault_plan p ~input =
+  let open Faults.Plan in
+  let corrupt =
+    match Protocol.corrupt_space p ~input with
+    | None -> []
+    | Some (ns, nr) ->
+        (if ns > 0 then [ Corrupt_state { at = 5; who = Sender; index = ns - 1 } ] else [])
+        @ if nr > 0 then [ Corrupt_state { at = 9; who = Receiver; index = nr - 1 } ] else []
+  in
+  {
+    name = "oracle";
+    events =
+      [ Crash_restart { at = 3; who = Sender } ]
+      @ corrupt
+      @ [ Crash_restart { at = 7; who = Receiver }; Crash_restart { at = 12; who = Sender } ];
+  }
+
+let test_history_oracle () =
+  let restarts = ref 0 and corruptions = ref 0 and points = ref 0 in
+  List.iter
+    (fun (label, p, input) ->
+      let plan = fault_plan p ~input in
+      let runs =
+        List.map (fun seed -> ("fair-random", Strategy.fair_random (), seed)) [ 1; 2; 3 ]
+        @ [ ("round-robin", Strategy.round_robin, 1) ]
+        @ List.map
+            (fun seed -> ("drop:0.3", Strategy.drop_rate 0.3 (Strategy.fair_random ()), seed))
+            [ 1; 2 ]
+        @ List.map
+            (fun seed ->
+              ( "faults",
+                Faults.Inject.strategy ~plan ~base:(Strategy.drop_rate 0.2 (Strategy.fair_random ())),
+                seed ))
+            [ 1; 2; 3 ]
+      in
+      List.iter
+        (fun (sname, strategy, seed) ->
+          let r =
+            Runner.run p ~input ~strategy ~rng:(Stdx.Rng.create seed) ~max_steps:120 ~post_roll:4 ()
+          in
+          let trace = r.Runner.trace in
+          let s_ref, r_ref, out_ref = reference_points p trace in
+          Array.iter
+            (function
+              | Move.Restart_sender | Move.Restart_receiver -> incr restarts
+              | Move.Corrupt_sender _ | Move.Corrupt_receiver _ -> incr corruptions
+              | _ -> ())
+            (Trace.moves trace);
+          for t = 0 to Trace.length trace do
+            incr points;
+            let fail what =
+              Alcotest.failf "%s %s seed %d: %s differs at point %d" label sname seed what t
+            in
+            if not (Hist.equal (Trace.s_view trace t) s_ref.(t)) then fail "s_view";
+            if not (Hist.equal (Trace.r_view trace t) r_ref.(t)) then fail "r_view";
+            if Trace.output_at trace t <> out_ref.(t) then fail "output_at";
+            if Trace.output_length_at trace t <> List.length out_ref.(t) then
+              fail "output_length_at"
+          done)
+        runs)
+    (oracle_instances ());
+  check Alcotest.bool "restarts were exercised" true (!restarts > 100);
+  check Alcotest.bool "corruptions were exercised" true (!corruptions > 10);
+  check Alcotest.bool "points checked" true (!points > 10_000)
+
+(* ------------------------- strategy differential ------------------------- *)
+
+(* The list-building choosers the allocation-free strategies replaced,
+   kept here as the reference they must agree with move for move and
+   draw for draw. *)
+module Reference_strategy = struct
+  let is_wake = function Move.Wake_sender | Move.Wake_receiver -> true | _ -> false
+
+  let is_delivery = function
+    | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _ -> true
+    | _ -> false
+
+  let is_drop = function Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> true | _ -> false
+
+  let fair_random ?(deliver_weight = 4) ?(wake_weight = 2) ?(drop_weight = 0) () rng enabled =
+    let weight m =
+      if is_wake m then wake_weight else if is_delivery m then deliver_weight else drop_weight
+    in
+    let weighted =
+      List.filter_map (fun m -> let w = weight m in if w > 0 then Some (m, w) else None) enabled
+    in
+    match weighted with [] -> None | _ -> Some (Stdx.Rng.pick_weighted rng weighted)
+
+  let rotating_delivery_to p ~time enabled =
+    let candidates =
+      List.filter_map
+        (fun m ->
+          match (p, m) with
+          | `R, Move.Deliver_to_receiver x -> Some (x, m)
+          | `S, Move.Deliver_to_sender x -> Some (x, m)
+          | _ -> None)
+        enabled
+    in
+    match List.sort (fun (a, _) (b, _) -> Int.compare a b) candidates with
+    | [] -> None
+    | sorted ->
+        let _, m = List.nth sorted (time / 4 mod List.length sorted) in
+        Some m
+
+  let round_robin ~time enabled =
+    let phase = time mod 4 in
+    let preference =
+      match phase with
+      | 0 -> Some Move.Wake_sender
+      | 1 -> rotating_delivery_to `R ~time enabled
+      | 2 -> Some Move.Wake_receiver
+      | _ -> rotating_delivery_to `S ~time enabled
+    in
+    match preference with
+    | Some m when List.exists (Move.equal m) enabled -> Some m
+    | _ -> if phase < 2 then Some Move.Wake_sender else Some Move.Wake_receiver
+
+  let drop_rate p inner rng enabled =
+    let drops = List.filter is_drop enabled in
+    if drops <> [] && Stdx.Rng.float rng < p then Some (Stdx.Rng.pick rng drops)
+    else inner rng (List.filter (fun m -> not (is_drop m)) enabled)
+
+  let drop_first n ~dropped inner rng enabled =
+    let drops = List.filter is_drop enabled in
+    if dropped < n && drops <> [] then Some (List.hd drops)
+    else inner rng (List.filter (fun m -> not (is_drop m)) enabled)
+end
+
+let enabled_gen =
+  QCheck.Gen.(
+    list_size (int_bound 9)
+      (oneof
+         [
+           return Move.Wake_sender;
+           return Move.Wake_receiver;
+           map (fun x -> Move.Deliver_to_receiver x) (int_bound 4);
+           map (fun x -> Move.Deliver_to_sender x) (int_bound 4);
+           map (fun x -> Move.Drop_to_receiver x) (int_bound 4);
+           map (fun x -> Move.Drop_to_sender x) (int_bound 4);
+         ]))
+
+let prop_strategies_match_reference =
+  QCheck.Test.make ~name:"strategies choose as the list-building reference" ~count:3000
+    QCheck.(
+      make
+        ~print:(fun (ms, time, seed) ->
+          Printf.sprintf "time=%d seed=%d [%s]" time seed
+            (String.concat "; " (List.map Move.to_string ms)))
+        Gen.(triple enabled_gen (int_bound 40) (int_bound 1000)))
+    (fun (enabled, time, seed) ->
+      let p = tiny Chan.Fifo_lossy in
+      let g = { (Global.initial p ~input:[| 0 |]) with Global.time } in
+      let agree (s : Strategy.t) reference =
+        let r1 = Stdx.Rng.create seed and r2 = Stdx.Rng.create seed in
+        let a = s.Strategy.choose r1 p g enabled and b = reference r2 enabled in
+        Option.equal Move.equal a b && Stdx.Rng.bits64 r1 = Stdx.Rng.bits64 r2
+      in
+      let module R = Reference_strategy in
+      agree (Strategy.fair_random ()) (R.fair_random ())
+      && agree
+           (Strategy.fair_random ~deliver_weight:3 ~wake_weight:0 ~drop_weight:5 ())
+           (R.fair_random ~deliver_weight:3 ~wake_weight:0 ~drop_weight:5 ())
+      && agree
+           (Strategy.fair_random ~deliver_weight:(-1) ~wake_weight:1 ~drop_weight:2 ())
+           (R.fair_random ~deliver_weight:(-1) ~wake_weight:1 ~drop_weight:2 ())
+      && agree Strategy.round_robin (fun _ e -> R.round_robin ~time e)
+      && agree
+           (Strategy.drop_rate 0.4 (Strategy.fair_random ()))
+           (R.drop_rate 0.4 (R.fair_random ()))
+      && agree
+           (Strategy.drop_rate 0.5 Strategy.round_robin)
+           (R.drop_rate 0.5 (fun _ e -> R.round_robin ~time e))
+      && agree
+           (Strategy.drop_first 1 (Strategy.fair_random ()))
+           (R.drop_first 1 ~dropped:0 (R.fair_random ())))
+
 let () =
   Alcotest.run "kernel"
     [
@@ -620,11 +866,13 @@ let () =
           Alcotest.test_case "of_string errors pinned" `Quick test_strategy_of_string_errors;
           qtest prop_fair_random_picks_enabled;
           qtest prop_strategy_of_string_roundtrip;
+          qtest prop_strategies_match_reference;
         ] );
       ( "trace",
         [
           Alcotest.test_case "views monotone" `Quick test_trace_views_monotone;
           Alcotest.test_case "view prefix property" `Quick test_trace_view_prefix_property;
+          Alcotest.test_case "history oracle" `Quick test_history_oracle;
         ] );
       ( "explore",
         [

@@ -8,6 +8,7 @@ module Stats = Stdx.Stats
 module Intern = Stdx.Intern
 module Codec = Stdx.Codec
 module Frontier = Stdx.Frontier
+module Json = Stdx.Json
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -233,6 +234,56 @@ let prop_deque_to_list =
     QCheck.(list small_int)
     (fun xs -> Deque.to_list (Deque.of_list xs) = xs)
 
+(* The deque against a list model under random operation sequences:
+   after every operation the two agree on [to_list], [length],
+   [peek_front], [is_empty] and an order-sensitive [fold], and every
+   pop returns the model's head. *)
+type deque_op = Push_back of int | Push_front of int | Pop_front
+
+let prop_deque_model =
+  QCheck.Test.make ~name:"Deque agrees with a list model" ~count:1000
+    QCheck.(
+      list_of_size
+        Gen.(int_bound 60)
+        (make
+           ~print:(function
+             | Push_back x -> Printf.sprintf "push_back %d" x
+             | Push_front x -> Printf.sprintf "push_front %d" x
+             | Pop_front -> "pop_front")
+           Gen.(
+             frequency
+               [
+                 (3, map (fun x -> Push_back x) small_nat);
+                 (1, map (fun x -> Push_front x) small_nat);
+                 (3, return Pop_front);
+               ])))
+    (fun ops ->
+      let agrees q model =
+        Deque.to_list q = model
+        && Deque.length q = List.length model
+        && Deque.is_empty q = (model = [])
+        && Deque.peek_front q = (match model with x :: _ -> Some x | [] -> None)
+        && Deque.fold (fun acc x -> (acc * 31) + x + 1) 7 q
+           = List.fold_left (fun acc x -> (acc * 31) + x + 1) 7 model
+      in
+      let rec run q model = function
+        | [] -> true
+        | op :: rest -> (
+            match op with
+            | Push_back x ->
+                let q = Deque.push_back q x and model = model @ [ x ] in
+                agrees q model && run q model rest
+            | Push_front x ->
+                let q = Deque.push_front q x and model = x :: model in
+                agrees q model && run q model rest
+            | Pop_front -> (
+                match (Deque.pop_front q, model) with
+                | None, [] -> run q model rest
+                | Some (x, q), y :: model -> x = y && agrees q model && run q model rest
+                | Some _, [] | None, _ :: _ -> false))
+      in
+      run Deque.empty [] ops)
+
 let test_deque_push_front () =
   let q = Deque.push_front (Deque.of_list [ 2; 3 ]) 1 in
   check (Alcotest.list Alcotest.int) "front insert" [ 1; 2; 3 ] (Deque.to_list q)
@@ -248,6 +299,288 @@ let test_deque_peek () =
 let test_deque_fold () =
   check Alcotest.int "fold order" 123
     (Deque.fold (fun acc x -> (acc * 10) + x) 0 (Deque.of_list [ 1; 2; 3 ]))
+
+(* ------------------------- Json ------------------------- *)
+
+(* The byte-at-a-time parser the in-place cursor replaced, verbatim:
+   the reference its values and its error strings (byte offsets
+   included) must match on every input. *)
+module Reference_json = struct
+  exception Fail of int * string
+
+  let parse s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let fail msg = raise (Fail (!pos, msg)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+          advance ();
+          skip_ws ()
+      | Some _ | None -> ()
+    in
+    let expect c =
+      match peek () with
+      | Some c' when c' = c -> advance ()
+      | Some c' -> fail (Printf.sprintf "expected %C, found %C" c c')
+      | None -> fail (Printf.sprintf "expected %C, found end of input" c)
+    in
+    let literal word v =
+      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
+        pos := !pos + String.length word;
+        v
+      end
+      else fail (Printf.sprintf "expected %s" word)
+    in
+    let utf8_of_code buf code =
+      (* Only the BMP; surrogate pairs in escapes are not emitted by our
+         printer and are rejected here. *)
+      if code < 0x80 then Buffer.add_char buf (Char.chr code)
+      else if code < 0x800 then begin
+        Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
+        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
+      end
+      else begin
+        Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
+        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
+      end
+    in
+    let parse_string () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec go () =
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' -> advance ()
+        | Some '\\' -> (
+            advance ();
+            match peek () with
+            | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
+            | Some '\\' -> advance (); Buffer.add_char buf '\\'; go ()
+            | Some '/' -> advance (); Buffer.add_char buf '/'; go ()
+            | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
+            | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
+            | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
+            | Some 'b' -> advance (); Buffer.add_char buf '\b'; go ()
+            | Some 'f' -> advance (); Buffer.add_char buf '\012'; go ()
+            | Some 'u' ->
+                advance ();
+                if !pos + 4 > n then fail "truncated \\u escape";
+                let hex = String.sub s !pos 4 in
+                let code =
+                  match int_of_string_opt ("0x" ^ hex) with
+                  | Some c -> c
+                  | None -> fail "bad \\u escape"
+                in
+                if code >= 0xd800 && code <= 0xdfff then fail "surrogate escapes unsupported";
+                pos := !pos + 4;
+                utf8_of_code buf code;
+                go ()
+            | Some c -> fail (Printf.sprintf "bad escape \\%C" c)
+            | None -> fail "unterminated escape")
+        | Some c ->
+            advance ();
+            Buffer.add_char buf c;
+            go ()
+      in
+      go ();
+      Buffer.contents buf
+    in
+    let parse_number () =
+      let start = !pos in
+      let is_num_char c =
+        match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+      in
+      while (match peek () with Some c when is_num_char c -> true | Some _ | None -> false) do
+        advance ()
+      done;
+      let tok = String.sub s start (!pos - start) in
+      let is_float = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok in
+      if is_float then
+        match float_of_string_opt tok with
+        | Some f -> Json.Float f
+        | None -> fail (Printf.sprintf "bad number %S" tok)
+      else
+        match int_of_string_opt tok with
+        | Some i -> Json.Int i
+        | None -> (
+            match float_of_string_opt tok with
+            | Some f -> Json.Float f
+            | None -> fail (Printf.sprintf "bad number %S" tok))
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | None -> fail "unexpected end of input"
+      | Some 'n' -> literal "null" Json.Null
+      | Some 't' -> literal "true" (Json.Bool true)
+      | Some 'f' -> literal "false" (Json.Bool false)
+      | Some '"' -> Json.String (parse_string ())
+      | Some '[' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some ']' then begin
+            advance ();
+            Json.List []
+          end
+          else begin
+            let rec items acc =
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  items (v :: acc)
+              | Some ']' ->
+                  advance ();
+                  List.rev (v :: acc)
+              | Some c -> fail (Printf.sprintf "expected ',' or ']', found %C" c)
+              | None -> fail "unterminated array"
+            in
+            Json.List (items [])
+          end
+      | Some '{' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some '}' then begin
+            advance ();
+            Json.Obj []
+          end
+          else begin
+            let field () =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              expect ':';
+              let v = parse_value () in
+              (k, v)
+            in
+            let rec fields acc =
+              let kv = field () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  fields (kv :: acc)
+              | Some '}' ->
+                  advance ();
+                  List.rev (kv :: acc)
+              | Some c -> fail (Printf.sprintf "expected ',' or '}', found %C" c)
+              | None -> fail "unterminated object"
+            in
+            Json.Obj (fields [])
+          end
+      | Some ('-' | '0' .. '9') -> parse_number ()
+      | Some c -> fail (Printf.sprintf "unexpected character %C" c)
+    in
+    match
+      let v = parse_value () in
+      skip_ws ();
+      if !pos <> n then fail "trailing garbage";
+      v
+    with
+    | v -> Ok v
+    | exception Fail (at, msg) -> Error (Printf.sprintf "json: at byte %d: %s" at msg)
+end
+
+(* Printable values: every constructor, nesting, and strings that need
+   each escape the printer emits (quotes, backslashes, control bytes)
+   next to plain and non-ASCII ones. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    oneof
+      [
+        string_size ~gen:(oneofl [ 'a'; 'z'; '0'; ' '; '_' ]) (int_bound 6);
+        string_size ~gen:(oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\001'; '\031'; '/'; 'x'; '\xc3'; '\xa9' ])
+          (int_bound 6);
+      ]
+  in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ small_signed_int; int; return max_int; return min_int ]);
+        map (fun f -> Json.Float f) (oneof [ float; map float_of_int small_signed_int; return 0.1 ]);
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n - 1))));
+               (1, map (fun l -> Json.Obj l) (list_size (int_bound 4) (pair str (self (n - 1)))));
+             ])
+
+type mutation = Flip of int * char | Insert of int * char | Delete of int | Truncate of int
+
+(* Bytes a mutation writes: the grammar's punctuation and number signs,
+   the letters of its literals, escapes and hex digits, digits,
+   whitespace, and arbitrary bytes. *)
+let mutation_byte =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ '{'; '}'; '['; ']'; ','; ':'; '"'; '\\'; '.'; '-'; '+'; 'e'; 'E' ];
+        oneofl [ 'u'; 'n'; 't'; 'f'; 'b'; 'r'; '/'; 'l'; 'a'; 'd'; 'F'; '8' ];
+        oneofl [ '0'; '1'; '9'; ' '; '\n' ];
+        char;
+      ])
+
+let mutate text muts =
+  List.fold_left
+    (fun t m ->
+      let len = String.length t in
+      let at i = if len = 0 then 0 else i mod len in
+      match m with
+      | Flip (i, c) when len > 0 -> String.mapi (fun j b -> if j = at i then c else b) t
+      | Flip _ -> t
+      | Insert (i, c) ->
+          let i = if len = 0 then 0 else i mod (len + 1) in
+          String.sub t 0 i ^ String.make 1 c ^ String.sub t i (len - i)
+      | Delete i when len > 0 ->
+          let i = at i in
+          String.sub t 0 i ^ String.sub t (i + 1) (len - i - 1)
+      | Delete _ -> t
+      | Truncate i -> String.sub t 0 (if len = 0 then 0 else i mod (len + 1)))
+    text muts
+
+let mutation_gen =
+  QCheck.Gen.(
+    let pos = int_bound 10_000 in
+    frequency
+      [
+        (3, map2 (fun i c -> Flip (i, c)) pos mutation_byte);
+        (3, map2 (fun i c -> Insert (i, c)) pos mutation_byte);
+        (2, map (fun i -> Delete i) pos);
+        (1, map (fun i -> Truncate i) pos);
+      ])
+
+let prop_json_parse_matches_reference =
+  QCheck.Test.make ~name:"Json.parse agrees with the reference on mutated text" ~count:20_000
+    QCheck.(
+      make
+        ~print:(fun (v, muts) -> String.escaped (mutate (Json.to_string v) muts))
+        Gen.(pair json_gen (list_size (int_bound 4) mutation_gen)))
+    (fun (v, muts) ->
+      let text = mutate (Json.to_string v) muts in
+      match (Json.parse text, Reference_json.parse text) with
+      | Ok a, Ok b -> Json.equal a b
+      | Error a, Error b -> String.equal a b
+      | Ok _, Error _ | Error _, Ok _ -> false
+      | exception e -> QCheck.Test.fail_reportf "Json.parse raised %s" (Printexc.to_string e))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"Json.parse inverts Json.to_string" ~count:1000 (QCheck.make json_gen)
+    (fun v -> match Json.parse (Json.to_string v) with Ok v' -> Json.equal v v' | Error _ -> false)
 
 (* ------------------------- Stats ------------------------- *)
 
@@ -651,6 +984,7 @@ let () =
           Alcotest.test_case "fold order" `Quick test_deque_fold;
           qtest prop_deque_fifo;
           qtest prop_deque_to_list;
+          qtest prop_deque_model;
         ] );
       ( "stats",
         [
@@ -688,6 +1022,8 @@ let () =
             test_frontier_unbounded_never_spills;
           qtest prop_frontier_spill_transparent;
         ] );
+      ( "json",
+        [ qtest prop_json_roundtrip; qtest prop_json_parse_matches_reference ] );
       ( "clock",
         [ Alcotest.test_case "deadline reads wall time" `Quick test_clock_deadline_is_wall_time ] );
     ]
