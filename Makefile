@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see README.md.
 
-.PHONY: all verify test report-schema soak-smoke serve-smoke stab-smoke m5-smoke e2e-smoke bench bench-smoke bench-artifact perf-gate clean
+.PHONY: all verify test report-schema soak-smoke serve-smoke stab-smoke m5-smoke attack-jobs e2e-smoke bench bench-smoke bench-artifact perf-gate clean
 
 all:
 	dune build
@@ -17,6 +17,7 @@ verify:
 	$(MAKE) serve-smoke
 	$(MAKE) stab-smoke
 	$(MAKE) m5-smoke
+	$(MAKE) attack-jobs
 	$(MAKE) e2e-smoke
 	$(MAKE) perf-gate
 
@@ -67,6 +68,23 @@ stab-smoke:
 	_build/default/bin/stp_cli.exe validate _build/stp_stab_gbn.json
 	_build/default/bin/stp_cli.exe soak --stab --seed 5 --random-plans 1 --json _build/stp_stab_soak.json
 	_build/default/bin/stp_cli.exe validate _build/stp_stab_soak.json
+
+# The attack sweeps' determinism contract across job counts.  Each
+# domain reuses its own joint-search tables, so at --jobs 2 the
+# searches land on other tables, after other searches, than at --jobs 1;
+# the artifacts must still match byte for byte.  The sweeps end in every
+# way a search can: three safety witnesses that stop their searches
+# early, two starvation witnesses, and clean closes.
+attack-jobs:
+	dune build bin/stp_cli.exe
+	for j in 1 2; do \
+	  _build/default/bin/stp_cli.exe attack -p counting -c dup -d 2 -x 0,1 -x 1,0 -x 1 -x 0 --jobs $$j --json _build/stp_attack_safety_j$$j.json > /dev/null || exit 1; \
+	  _build/default/bin/stp_cli.exe attack -p norep -c dup -d 2 -x 0,0 -x 0,1 -x 1,0 -x 1,1 --depth 200 --jobs $$j --json _build/stp_attack_starve_j$$j.json > /dev/null || exit 1; \
+	  _build/default/bin/stp_cli.exe attack -p norep -c del -d 2 --symm -x 0,1 -x 1,0 -x 0 -x 1 --jobs $$j --json _build/stp_attack_m5_j$$j.json > /dev/null || exit 1; \
+	done
+	cmp _build/stp_attack_safety_j1.json _build/stp_attack_safety_j2.json
+	cmp _build/stp_attack_starve_j1.json _build/stp_attack_starve_j2.json
+	cmp _build/stp_attack_m5_j1.json _build/stp_attack_m5_j2.json
 
 # The end-to-end benchmark's three workloads, briefly and traced (about
 # 13 s in all): each run's last line must read correct with no failed

@@ -6,7 +6,6 @@ module Bfs = Kernel.Bfs
 module Protocol = Kernel.Protocol
 module Symm = Kernel.Symm
 module Xset = Seqspace.Xset
-module IntSet = Set.Make (Int)
 
 type joint_move = Sync of Move.t | Only1 of Move.t | Only2 of Move.t
 
@@ -30,6 +29,71 @@ type witness = {
 type outcome =
   | Witness of witness
   | No_violation of { closed : bool; states_explored : int }
+
+(* Moves as ints.  Every move a search can feed a store has a dense
+   code below [stride]: message values are bounded by the declared
+   alphabets ([validate_action] enforces this), so the code space has
+   a fixed stride per protocol.  A joint move is [tag * stride + code]
+   with tag 0 = [Sync], 1 = [Only1], 2 = [Only2]; the joint search
+   handles only these ints and decodes a path back to [joint_move]s
+   for a witness alone. *)
+module Code = struct
+  type t = {
+    stride : int;
+    drop_r : int;  (* [Drop_to_receiver m] is [drop_r + m] *)
+    deliver_s : int;  (* [Deliver_to_sender m] is [deliver_s + m] *)
+    drop_s : int;  (* [Drop_to_sender m] is [drop_s + m] *)
+  }
+
+  let wake_sender = 0
+  let wake_receiver = 1
+  let deliver_r = 4  (* [Deliver_to_receiver m] is [4 + m] *)
+
+  let layout (p : Protocol.t) =
+    let sa = p.Protocol.sender_alphabet and ra = p.Protocol.receiver_alphabet in
+    {
+      stride = 4 + (2 * (sa + ra));
+      drop_r = 4 + sa;
+      deliver_s = 4 + (2 * sa);
+      drop_s = 4 + (2 * sa) + ra;
+    }
+
+  let of_move c = function
+    | Move.Wake_sender -> wake_sender
+    | Move.Wake_receiver -> wake_receiver
+    | Move.Restart_sender -> 2
+    | Move.Restart_receiver -> 3
+    | Move.Deliver_to_receiver m -> deliver_r + m
+    | Move.Drop_to_receiver m -> c.drop_r + m
+    | Move.Deliver_to_sender m -> c.deliver_s + m
+    | Move.Drop_to_sender m -> c.drop_s + m
+    (* Corruption happens at search roots, never as a searched
+       transition, so no caller ever feeds these here. *)
+    | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
+        invalid_arg "Runstate: corrupt-state moves are roots, not transitions"
+
+  let to_move c k =
+    if k = wake_sender then Move.Wake_sender
+    else if k = wake_receiver then Move.Wake_receiver
+    else if k = 2 then Move.Restart_sender
+    else if k = 3 then Move.Restart_receiver
+    else if k < c.drop_r then Move.Deliver_to_receiver (k - deliver_r)
+    else if k < c.deliver_s then Move.Drop_to_receiver (k - c.drop_r)
+    else if k < c.drop_s then Move.Deliver_to_sender (k - c.deliver_s)
+    else Move.Drop_to_sender (k - c.drop_s)
+
+  let sync = 0
+  let only1 = 1
+  let only2 = 2
+
+  let to_joint c j =
+    let m = to_move c (j mod c.stride) in
+    match j / c.stride with 0 -> Sync m | 1 -> Only1 m | _ -> Only2 m
+
+  let is_drop c j =
+    let k = j mod c.stride in
+    (k >= c.drop_r && k < c.deliver_s) || k >= c.drop_s
+end
 
 (* A per-input single-run transition store.  Every joint move
    decomposes into [Sim.apply] calls on one run, and a run's successor
@@ -55,39 +119,55 @@ type outcome =
    under different inputs are not interchangeable and stores are
    never shared across inputs.
 
-   Per store id the store keeps the state, its [Global.emit]
-   fingerprint id — interned once, when the id is new, so the joint
-   search keys a state pair with two array reads — and a row of
-   memoised successor ids, so a memo hit returns an id and allocates
-   nothing.
+   Per store id the store keeps the state; its [Global.emit]
+   fingerprint id, interned once, when the id is new, so the joint
+   search keys a state pair with two array reads; its row, everything
+   else the joint search reads of the state; and its memoised
+   successor ids, so a memo hit returns an id and allocates nothing.
 
    The store is mutex-guarded so the parallel pair sweep can share it
-   across domains; at the default [jobs = 1] the lock is uncontended
-   and costs a few nanoseconds per hit.  Cached [Global.t] values are
+   across domains.  At the default [jobs = 1] the lock is uncontended
+   but not free: the lock/unlock pair on the hit path was 4.6% of the
+   m=4 pair sweep's CPU samples before the joint search stopped
+   allocating and 6.9% after (gprofng).  Cached [Global.t] values are
    shared freely: they are persistent, and their lazily-memoised
    component encodings are write-once with equal values on every
    writer. *)
 module Runstate = struct
+  (* What the joint search reads of a state besides its fingerprint,
+     computed once per store id: its move lists, send caps, safety
+     check and starvation test then read ints instead of walking the
+     channels per joint state. *)
+  type row = {
+    dlv_sr : int array;  (* [Chan.deliverable] of each channel, ascending *)
+    dlv_rs : int array;
+    drop_sr : int array;  (* [Chan.droppable], in its order *)
+    drop_rs : int array;
+    sent_sr : int;  (* [Chan.sent_total] *)
+    sent_rs : int;
+    safe : bool;  (* [Global.safety_ok] *)
+    debt : int;  (* [run_debt] *)
+  }
+
   type t = {
     p : Protocol.t;
     keys : Stdx.Intern.t;  (* run-key bytes → store id *)
     prints : Stdx.Intern.t;  (* fingerprint bytes → fingerprint id *)
     scratch : Stdx.Codec.t;
-    stride : int;
-        (* distinct move codes for this protocol's alphabets: the memo
-           row of store id [i] is [succ.(i * stride + code)] *)
+    code : Code.t;  (* id [i]'s successor under a move is [succ.(i * stride + move code)] *)
     lock : Mutex.t;
-    (* Store id → state and store id → fingerprint id.  Slots are
-       written once, under [lock], before their id is handed out; a
-       full array is copied into a larger one, also under [lock], and
-       published through the [Atomic.t].  So {!state} and
-       {!fingerprint} read without the lock, from any domain: the
-       caller learnt the id from a locked [apply] (or it is 0, written
-       in [create]), which orders the slot write before the read, and
-       any array the [Atomic.get] returns holds the slot — the one it
-       was written to or a later copy published after it. *)
+    (* Store id → state, fingerprint id and row.  Slots are written
+       once, under [lock], before their id is handed out; a full array
+       is copied into a larger one, also under [lock], and published
+       through the [Atomic.t].  So {!state}, {!fingerprint} and {!row}
+       read without the lock, from any domain: the caller learnt the
+       id from a locked [apply] (or it is 0, written in [create]),
+       which orders the slot write before the read, and any array the
+       [Atomic.get] returns holds the slot — the one it was written to
+       or a later copy published after it. *)
     states : Global.t array Atomic.t;
     prints_of : int array Atomic.t;
+    rows : row array Atomic.t;
     mutable succ : int array;
         (* successor store id, [rejected] for a move the simulator
            refuses ([Sim.Model_violation]), [unknown] until computed *)
@@ -97,24 +177,18 @@ module Runstate = struct
   let rejected = -1
   let unknown = -2
 
-  (* Every move a search can feed the store, numbered densely: message
-     values are bounded by the declared alphabets ([validate_action]
-     enforces this), so the code space has a fixed stride per state. *)
-  let move_code (p : Protocol.t) move =
-    let sa = p.Protocol.sender_alphabet and ra = p.Protocol.receiver_alphabet in
-    match move with
-    | Move.Wake_sender -> 0
-    | Move.Wake_receiver -> 1
-    | Move.Restart_sender -> 2
-    | Move.Restart_receiver -> 3
-    | Move.Deliver_to_receiver m -> 4 + m
-    | Move.Drop_to_receiver m -> 4 + sa + m
-    | Move.Deliver_to_sender m -> 4 + (2 * sa) + m
-    | Move.Drop_to_sender m -> 4 + (2 * sa) + ra + m
-    (* Corruption happens at search roots, never as a searched
-       transition, so no caller ever feeds these here. *)
-    | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
-        invalid_arg "Runstate: corrupt-state moves are roots, not transitions"
+  let row_of (g : Global.t) =
+    let sr = g.Global.chan_sr and rs = g.Global.chan_rs in
+    {
+      dlv_sr = Array.of_list (Chan.deliverable sr);
+      dlv_rs = Array.of_list (Chan.deliverable rs);
+      drop_sr = Array.of_list (Chan.droppable sr);
+      drop_rs = Array.of_list (Chan.droppable rs);
+      sent_sr = Chan.sent_total sr;
+      sent_rs = Chan.sent_total rs;
+      safe = Global.safety_ok g;
+      debt = run_debt g;
+    }
 
   let intern_emitted table scratch emit g =
     Stdx.Codec.reset scratch;
@@ -122,19 +196,23 @@ module Runstate = struct
     Stdx.Intern.intern_bytes table (Stdx.Codec.buffer scratch) ~pos:0
       ~len:(Stdx.Codec.length scratch)
 
-  (* The store id of [g], interning it — with its fingerprint id and an
-     empty memo row — when new.  Caller holds [lock]. *)
+  (* The store id of [g], interning it — with its fingerprint id, its
+     row and an empty memo row — when new.  Caller holds [lock]. *)
   let sid t g =
     let id, fresh = intern_emitted t.keys t.scratch Global.emit_run_key g in
     if fresh then begin
       let print = fst (intern_emitted t.prints t.scratch Global.emit g) in
       let states = extend (Atomic.get t.states) id g in
       let prints_of = extend (Atomic.get t.prints_of) id 0 in
+      let row = row_of g in
+      let rows = extend (Atomic.get t.rows) id row in
       states.(id) <- g;
       prints_of.(id) <- print;
+      rows.(id) <- row;
       Atomic.set t.states states;
       Atomic.set t.prints_of prints_of;
-      t.succ <- extend t.succ (((id + 1) * t.stride) - 1) unknown
+      Atomic.set t.rows rows;
+      t.succ <- extend t.succ (((id + 1) * t.code.Code.stride) - 1) unknown
     end;
     id
 
@@ -145,10 +223,11 @@ module Runstate = struct
         keys = Stdx.Intern.create ~size:64 ();
         prints = Stdx.Intern.create ~size:64 ();
         scratch = Stdx.Codec.create ~size:256 ();
-        stride = 4 + (2 * (p.Protocol.sender_alphabet + p.Protocol.receiver_alphabet));
+        code = Code.layout p;
         lock = Mutex.create ();
         states = Atomic.make [||];
         prints_of = Atomic.make [||];
+        rows = Atomic.make [||];
         succ = [||];
         hits = 0;
       }
@@ -156,12 +235,14 @@ module Runstate = struct
     ignore (sid t (Global.initial p ~input:(Array.of_list x)) : int);
     t
 
-  (* Lock-free: see [states] and [prints_of] in the type. *)
+  (* Lock-free: see [states], [prints_of] and [rows] in the type. *)
   let state t id = (Atomic.get t.states).(id)
   let fingerprint t id = (Atomic.get t.prints_of).(id)
+  let row t id = (Atomic.get t.rows).(id)
 
-  let apply t id move =
-    let k = (id * t.stride) + move_code t.p move in
+  (* [apply] on a move code, as the joint search feeds it. *)
+  let apply_code t id code =
+    let k = (id * t.code.Code.stride) + code in
     Mutex.lock t.lock;
     let r = t.succ.(k) in
     if r <> unknown then begin
@@ -174,12 +255,14 @@ module Runstate = struct
         ~finally:(fun () -> Mutex.unlock t.lock)
         (fun () ->
           let r =
-            match Sim.apply t.p (state t id) move with
+            match Sim.apply t.p (state t id) (Code.to_move t.code code) with
             | exception Sim.Model_violation _ -> rejected
             | g' -> sid t g'
           in
           t.succ.(k) <- r;
           r)
+
+  let apply t id move = apply_code t id (Code.of_move t.code move)
 
   (* Counters read without the lock: exact once every search sharing
      the store has returned ([Par.map] joins its domains first), a
@@ -262,45 +345,66 @@ module Stats = struct
       (fun () -> f frontier)
 end
 
-(* Both arguments ascending (the [Chan.deliverable] contract): a
-   sorted merge instead of the quadratic [List.mem] scan. *)
-let intersect xs ys =
-  let rec go xs ys =
-    match (xs, ys) with
-    | [], _ | _, [] -> []
-    | x :: xs', y :: ys' ->
-        if x = y then x :: go xs' ys' else if x < y then go xs' ys else go xs ys'
-  in
-  go xs ys
+(* [base + ms.(k)] for [k = 0 .. i], in that order, onto [acc].  The
+   list builders are top-level, so they allocate only the list. *)
+let rec cons_upto base ms i acc =
+  if i < 0 then acc else cons_upto base ms (i - 1) ((base + ms.(i)) :: acc)
 
-(* Candidate joint moves from a joint state.  Receiver-visible moves
-   are synchronised; sender-side moves act on one run. *)
-let expansions ~allow_drops ~send_cap ~recv_cap (g1 : Global.t) (g2 : Global.t) =
+let cons_codes base ms acc = cons_upto base ms (Array.length ms - 1) acc
+
+(* [base + m] for each [m] in both ascending arrays [a.(0 .. i)] and
+   [b.(0 .. j)], ascending, onto [acc]. *)
+let rec cons_common base a i b j acc =
+  if i < 0 || j < 0 then acc
+  else
+    let x = a.(i) and y = b.(j) in
+    if x = y then cons_common base a (i - 1) b (j - 1) ((base + x) :: acc)
+    else if x > y then cons_common base a (i - 1) b j acc
+    else cons_common base a i b (j - 1) acc
+
+(* One run's sender-side moves under [tag], onto [acc]. *)
+let cons_side (c : Code.t) ~allow_drops ~send_cap tag (r : Runstate.row) acc =
+  let base = tag * c.Code.stride in
+  let acc =
+    if allow_drops then
+      cons_codes (base + c.Code.drop_r) r.Runstate.drop_sr
+        (cons_codes (base + c.Code.drop_s) r.Runstate.drop_rs acc)
+    else acc
+  in
+  let acc = cons_codes (base + c.Code.deliver_s) r.Runstate.dlv_rs acc in
+  if r.Runstate.sent_sr < send_cap then (base + Code.wake_sender) :: acc else acc
+
+(* Candidate joint moves from a joint state, as codes, consed from the
+   last so the list is built once, in this order:
+   - [Sync Wake_receiver], under the receiver cap;
+   - [Sync (Deliver_to_receiver m)] for each [m] deliverable in both
+     runs, ascending;
+   - for run 1, then run 2: its sender's wake under the sender cap, its
+     deliveries to the sender, and with drops allowed its drops to the
+     receiver and then to the sender.
+   Receiver-visible moves are synchronised; sender-side moves act on
+   one run.  The order fixes the ids the BFS hands out, and with them
+   every witness. *)
+let joint_codes c ~allow_drops ~send_cap ~recv_cap (r1 : Runstate.row) (r2 : Runstate.row) =
+  let acc =
+    cons_side c ~allow_drops ~send_cap Code.only1 r1
+      (cons_side c ~allow_drops ~send_cap Code.only2 r2 [])
+  in
+  let a = r1.Runstate.dlv_sr and b = r2.Runstate.dlv_sr in
+  let acc = cons_common Code.deliver_r a (Array.length a - 1) b (Array.length b - 1) acc in
   (* The receiver acts identically in both runs, so capping its sends
      by run 1's reverse-channel total caps both. *)
-  let wake_r =
-    if Chan.sent_total g1.Global.chan_rs < recv_cap then [ Sync Move.Wake_receiver ] else []
-  in
-  let sync =
-    wake_r
-    @ List.map
-         (fun m -> Sync (Move.Deliver_to_receiver m))
-         (intersect (Chan.deliverable g1.Global.chan_sr) (Chan.deliverable g2.Global.chan_sr))
-  in
-  let side tag (g : Global.t) =
-    let wake =
-      if Chan.sent_total g.Global.chan_sr < send_cap then [ tag Move.Wake_sender ] else []
-    in
-    let acks = List.map (fun m -> tag (Move.Deliver_to_sender m)) (Chan.deliverable g.Global.chan_rs) in
-    let drops =
-      if allow_drops then
-        List.map (fun m -> tag (Move.Drop_to_receiver m)) (Chan.droppable g.Global.chan_sr)
-        @ List.map (fun m -> tag (Move.Drop_to_sender m)) (Chan.droppable g.Global.chan_rs)
-      else []
-    in
-    wake @ acks @ drops
-  in
-  sync @ side (fun m -> Only1 m) g1 @ side (fun m -> Only2 m) g2
+  if r1.Runstate.sent_rs < recv_cap then Code.wake_receiver :: acc else acc
+
+(* A joint state is one int: run 1's store id in the high bits, run
+   2's in the low [half] bits. *)
+let half = 31
+let low = (1 lsl half) - 1
+
+let pack s1 s2 =
+  if s1 lsr half <> 0 || s2 lsr half <> 0 then
+    invalid_arg "Attack: a store id does not fit a packed joint state";
+  (s1 lsl half) lor s2
 
 (* Starvation analysis over a *closed* joint graph.
 
@@ -325,20 +429,63 @@ let expansions ~allow_drops ~send_cap ~recv_cap (g1 : Global.t) (g2 : Global.t) 
 module Starved = struct
   (* The closed joint graph, recorded as the BFS expands ids — in
      admission order, since the frontier is FIFO: per id its runs'
-     store ids, and its out-edges minus drops, id [i]'s at
-     [first.(i), first.(i + 1)). *)
-  type graph = {
+     store ids, and its out-edges minus drops, labelled with their
+     joint-move codes, id [i]'s at [first.(i), first.(i + 1)).  The
+     other arrays are the SCC pass's: all of them keep their capacity
+     from one search to the next. *)
+  type t = {
     mutable n : int;  (* recorded ids are exactly [0, n) *)
     mutable sid1 : int array;
     mutable sid2 : int array;
     mutable first : int array;
     mutable m : int;  (* recorded edges *)
     mutable dst : int array;
-    mutable label : joint_move array;
+    mutable label : int array;
+    (* Tarjan's, per id *)
+    mutable index : int array;
+    mutable lowlink : int array;
+    mutable comp : int array;
+    mutable work_v : int array;  (* the DFS path: vertex, next edge *)
+    mutable work_e : int array;
+    mutable stack : int array;
+    (* per component *)
+    mutable flags : int array;
+    mutable rep : int array;  (* the earliest-admitted id *)
+    mutable debt0_1 : int array;  (* the earliest with run-1 channels empty, or -1 *)
+    mutable debt0_2 : int array;
+    sync_dlv : Stdx.Bitset.t;  (* [comp * stride + m]: a [Sync (Deliver_to_receiver m)] edge *)
+    ack1 : Stdx.Bitset.t;  (* [comp * stride + m]: an [Only1 (Deliver_to_sender m)] edge *)
+    ack2 : Stdx.Bitset.t;
   }
 
-  let graph () =
-    { n = 0; sid1 = [||]; sid2 = [||]; first = [| 0 |]; m = 0; dst = [||]; label = [||] }
+  let create () =
+    {
+      n = 0;
+      sid1 = [||];
+      sid2 = [||];
+      first = [| 0 |];
+      m = 0;
+      dst = [||];
+      label = [||];
+      index = [||];
+      lowlink = [||];
+      comp = [||];
+      work_v = [||];
+      work_e = [||];
+      stack = [||];
+      flags = [||];
+      rep = [||];
+      debt0_1 = [||];
+      debt0_2 = [||];
+      sync_dlv = Stdx.Bitset.create ();
+      ack1 = Stdx.Bitset.create ();
+      ack2 = Stdx.Bitset.create ();
+    }
+
+  let clear g =
+    g.n <- 0;
+    g.m <- 0;
+    g.first.(0) <- 0
 
   let vertex g id s1 s2 =
     if id <> g.n then invalid_arg "Starved.vertex: ids must come in admission order";
@@ -350,166 +497,194 @@ module Starved = struct
     g.first.(id + 1) <- g.m;
     g.n <- id + 1
 
-  let is_drop = function
-    | Sync m | Only1 m | Only2 m -> (
-        match m with
-        | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> true
-        | Move.Wake_sender | Move.Wake_receiver | Move.Deliver_to_receiver _
-        | Move.Deliver_to_sender _ | Move.Restart_sender | Move.Restart_receiver
-        | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
-            false)
-
   (* An out-edge of the id last passed to [vertex]. *)
-  let edge g jm dst =
-    if not (is_drop jm) then begin
+  let edge g c jm dst =
+    if not (Code.is_drop c jm) then begin
       g.dst <- extend g.dst g.m 0;
-      g.label <- extend g.label g.m jm;
+      g.label <- extend g.label g.m 0;
       g.dst.(g.m) <- dst;
       g.label.(g.m) <- jm;
       g.m <- g.m + 1;
       g.first.(g.n) <- g.m
     end
 
-  type comp_stats = {
-    mutable wake1 : bool;
-    mutable wake2 : bool;
-    mutable wake_r : bool;
-    mutable sync_dlv : IntSet.t;
-    mutable ack1 : IntSet.t;
-    mutable ack2 : IntSet.t;
-    mutable has_edge : bool;
-    mutable rep : int;  (* the earliest-admitted id, -1 before any *)
-    mutable debt0_1 : int;  (* the earliest with run-1 channels empty *)
-    mutable debt0_2 : int;
-  }
-
-  let fresh_stats () =
-    {
-      wake1 = false;
-      wake2 = false;
-      wake_r = false;
-      sync_dlv = IntSet.empty;
-      ack1 = IntSet.empty;
-      ack2 = IntSet.empty;
-      has_edge = false;
-      rep = -1;
-      debt0_1 = -1;
-      debt0_2 = -1;
-    }
-
   (* Iterative Tarjan SCC over the recorded graph, from vertex 0 (the
-     root) up.  The on-stack flags live in a bit-packed set rather than
-     a [bool array] — one bit per vertex instead of a byte, and the GC
-     never scans it. *)
+     root) up; returns the number of components, numbered in the order
+     they complete.  A visited vertex is on the SCC stack exactly while
+     it has no component yet, so no on-stack set is kept. *)
   let tarjan g =
     let n = g.n in
-    let index = Array.make n (-1) in
-    let lowlink = Array.make n 0 in
-    let on_stack = Stdx.Bitset.create ~size:(max 1 n) () in
-    let comp = Array.make n (-1) in
-    let stack = ref [] in
-    let next_index = ref 0 in
-    let next_comp = ref 0 in
-    let strongconnect v =
-      (* Explicit work stack: (vertex, its next edge). *)
-      let work = Stack.create () in
-      Stack.push (v, g.first.(v)) work;
+    g.index <- extend g.index (n - 1) 0;
+    g.lowlink <- extend g.lowlink (n - 1) 0;
+    g.comp <- extend g.comp (n - 1) 0;
+    g.work_v <- extend g.work_v (n - 1) 0;
+    g.work_e <- extend g.work_e (n - 1) 0;
+    g.stack <- extend g.stack (n - 1) 0;
+    let index = g.index and lowlink = g.lowlink and comp = g.comp in
+    let work_v = g.work_v and work_e = g.work_e and stack = g.stack in
+    let first = g.first and dst = g.dst in
+    Array.fill index 0 n (-1);
+    Array.fill comp 0 n (-1);
+    let next_index = ref 0 and next_comp = ref 0 in
+    let sp = ref 0 (* work stack height *) and top = ref 0 (* SCC stack height *) in
+    let visit v =
       index.(v) <- !next_index;
       lowlink.(v) <- !next_index;
       incr next_index;
-      stack := v :: !stack;
-      ignore (Stdx.Bitset.add on_stack v : bool);
-      while not (Stack.is_empty work) do
-        let u, e = Stack.pop work in
-        if e < g.first.(u + 1) then begin
-          Stack.push (u, e + 1) work;
-          let w = g.dst.(e) in
-          if index.(w) = -1 then begin
-            index.(w) <- !next_index;
-            lowlink.(w) <- !next_index;
-            incr next_index;
-            stack := w :: !stack;
-            ignore (Stdx.Bitset.add on_stack w : bool);
-            Stack.push (w, g.first.(w)) work
-          end
-          else if Stdx.Bitset.mem on_stack w then
-            lowlink.(u) <- min lowlink.(u) index.(w)
-        end
-        else begin
-          if lowlink.(u) = index.(u) then begin
-            let rec pop () =
-              match !stack with
-              | [] -> ()
-              | w :: rest ->
-                  stack := rest;
-                  Stdx.Bitset.remove on_stack w;
-                  comp.(w) <- !next_comp;
-                  if w <> u then pop ()
-            in
-            pop ();
-            incr next_comp
-          end;
-          match Stack.top_opt work with
-          | Some (parent, _) -> lowlink.(parent) <- min lowlink.(parent) lowlink.(u)
-          | None -> ()
-        end
-      done
+      stack.(!top) <- v;
+      incr top;
+      work_v.(!sp) <- v;
+      work_e.(!sp) <- first.(v);
+      incr sp
     in
     for v = 0 to n - 1 do
-      if index.(v) = -1 then strongconnect v
+      if index.(v) < 0 then begin
+        visit v;
+        while !sp > 0 do
+          let u = work_v.(!sp - 1) and e = work_e.(!sp - 1) in
+          if e < first.(u + 1) then begin
+            work_e.(!sp - 1) <- e + 1;
+            let w = dst.(e) in
+            if index.(w) < 0 then visit w
+            else if comp.(w) < 0 then lowlink.(u) <- Int.min lowlink.(u) index.(w)
+          end
+          else begin
+            decr sp;
+            if lowlink.(u) = index.(u) then begin
+              let popping = ref true in
+              while !popping do
+                decr top;
+                let w = stack.(!top) in
+                comp.(w) <- !next_comp;
+                popping := w <> u
+              done;
+              incr next_comp
+            end;
+            if !sp > 0 then begin
+              let parent = work_v.(!sp - 1) in
+              lowlink.(parent) <- Int.min lowlink.(parent) lowlink.(u)
+            end
+          end
+        done
+      end
     done;
-    (comp, !next_comp)
+    !next_comp
+
+  (* Component flags. *)
+  let has_edge = 1
+  let wake1 = 2
+  let wake2 = 4
+  let wake_r = 8
 
   (* The witness is deterministic: the first qualifying component in
      Tarjan order from the root, and in it the earliest-admitted
      qualifying id — the component's first id (dup channels), or its
      first id with the starved run's channels empty (deleting
      channels). *)
-  let find g ~state1 ~state2 ~channel =
-    let comp, n_comps = tarjan g in
-    let stats = Array.init n_comps (fun _ -> fresh_stats ()) in
+  let find g (c : Code.t) ~row1 ~row2 ~state1 ~state2 ~channel =
+    let n_comps = tarjan g in
+    g.flags <- extend g.flags (n_comps - 1) 0;
+    g.rep <- extend g.rep (n_comps - 1) 0;
+    g.debt0_1 <- extend g.debt0_1 (n_comps - 1) 0;
+    g.debt0_2 <- extend g.debt0_2 (n_comps - 1) 0;
+    Array.fill g.flags 0 n_comps 0;
+    Array.fill g.rep 0 n_comps (-1);
+    Array.fill g.debt0_1 0 n_comps (-1);
+    Array.fill g.debt0_2 0 n_comps (-1);
+    Stdx.Bitset.clear g.sync_dlv;
+    Stdx.Bitset.clear g.ack1;
+    Stdx.Bitset.clear g.ack2;
+    let stride = c.Code.stride in
+    let comp = g.comp and flags = g.flags in
     for u = 0 to g.n - 1 do
       let cu = comp.(u) in
-      let s = stats.(cu) in
-      if s.rep < 0 then s.rep <- u;
-      if s.debt0_1 < 0 && run_debt (state1 g.sid1.(u)) = 0 then s.debt0_1 <- u;
-      if s.debt0_2 < 0 && run_debt (state2 g.sid2.(u)) = 0 then s.debt0_2 <- u;
+      if g.rep.(cu) < 0 then g.rep.(cu) <- u;
+      if g.debt0_1.(cu) < 0 && (row1 g.sid1.(u)).Runstate.debt = 0 then g.debt0_1.(cu) <- u;
+      if g.debt0_2.(cu) < 0 && (row2 g.sid2.(u)).Runstate.debt = 0 then g.debt0_2.(cu) <- u;
       (* Intra-component edge statistics. *)
       for e = g.first.(u) to g.first.(u + 1) - 1 do
         if comp.(g.dst.(e)) = cu then begin
-          s.has_edge <- true;
-          match g.label.(e) with
-          | Only1 Move.Wake_sender -> s.wake1 <- true
-          | Only2 Move.Wake_sender -> s.wake2 <- true
-          | Sync Move.Wake_receiver -> s.wake_r <- true
-          | Sync (Move.Deliver_to_receiver m) -> s.sync_dlv <- IntSet.add m s.sync_dlv
-          | Only1 (Move.Deliver_to_sender m) -> s.ack1 <- IntSet.add m s.ack1
-          | Only2 (Move.Deliver_to_sender m) -> s.ack2 <- IntSet.add m s.ack2
-          | _ -> ()
+          flags.(cu) <- flags.(cu) lor has_edge;
+          let j = g.label.(e) in
+          let tag = j / stride in
+          let k = j - (tag * stride) in
+          if k = Code.wake_sender then begin
+            if tag = Code.only1 then flags.(cu) <- flags.(cu) lor wake1
+            else if tag = Code.only2 then flags.(cu) <- flags.(cu) lor wake2
+          end
+          else if tag = Code.sync then begin
+            if k = Code.wake_receiver then flags.(cu) <- flags.(cu) lor wake_r
+            else if k >= Code.deliver_r && k < c.Code.drop_r then
+              ignore (Stdx.Bitset.add g.sync_dlv ((cu * stride) + k - Code.deliver_r) : bool)
+          end
+          else if k >= c.Code.deliver_s && k < c.Code.drop_s then
+            ignore
+              (Stdx.Bitset.add
+                 (if tag = Code.only1 then g.ack1 else g.ack2)
+                 ((cu * stride) + k - c.Code.deliver_s)
+                : bool)
         end
       done
     done;
     let dup = Chan.duplicates channel in
-    let check s which =
-      let g, wake_i, acks_i, debt0_i =
-        if which = 1 then (state1 g.sid1.(s.rep), s.wake1, s.ack1, s.debt0_1)
-        else (state2 g.sid2.(s.rep), s.wake2, s.ack2, s.debt0_2)
-      in
-      if (not s.has_edge) || Global.complete g || (not wake_i) || not s.wake_r then None
+    (* The id witnessing run [which]'s starvation in component [cu], or
+       -1. *)
+    let check cu which =
+      let rep = g.rep.(cu) and f = flags.(cu) in
+      let s = if which = 1 then g.sid1.(rep) else g.sid2.(rep) in
+      if
+        f land has_edge = 0
+        || f land (if which = 1 then wake1 else wake2) = 0
+        || f land wake_r = 0
+        || Global.complete ((if which = 1 then state1 else state2) s)
+      then -1
       else if dup then begin
-        let fwd_ok =
-          List.for_all (fun m -> IntSet.mem m s.sync_dlv) (Chan.deliverable g.Global.chan_sr)
-        in
-        let rev_ok =
-          List.for_all (fun m -> IntSet.mem m acks_i) (Chan.deliverable g.Global.chan_rs)
-        in
-        if fwd_ok && rev_ok then Some (s.rep, which) else None
+        let r = (if which = 1 then row1 else row2) s in
+        let acks = if which = 1 then g.ack1 else g.ack2 in
+        let all set ms = Array.for_all (fun m -> Stdx.Bitset.mem set ((cu * stride) + m)) ms in
+        if all g.sync_dlv r.Runstate.dlv_sr && all acks r.Runstate.dlv_rs then rep else -1
       end
-      else if debt0_i >= 0 then Some (debt0_i, which)
-      else None
+      else (if which = 1 then g.debt0_1 else g.debt0_2).(cu)
     in
-    Array.find_map (fun s -> match check s 1 with Some r -> Some r | None -> check s 2) stats
+    let rec scan cu =
+      if cu >= n_comps then None
+      else
+        let id = check cu 1 in
+        if id >= 0 then Some (id, 1)
+        else
+          let id = check cu 2 in
+          if id >= 0 then Some (id, 2) else scan (cu + 1)
+    in
+    scan 0
 end
+
+(* The tables a joint search fills, one set per domain, reused by every
+   search the domain runs, so a sweep grows them once instead of
+   building fresh ones per pair.  A search takes the domain's set out
+   of its slot, empties it before use — so a search that raised or
+   stopped early leaves nothing behind — and puts it back when done; a
+   search that finds the slot empty (one nested in another on the same
+   domain) builds its own.  Between searches the set holds what the
+   last one left, at most one search's tables per domain. *)
+type workspace = { table : (int, int) Bfs.t; graph : Starved.t }
+
+let workspace_slot : workspace option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let with_workspace f =
+  let slot = Domain.DLS.get workspace_slot in
+  let ws =
+    match !slot with
+    | Some ws ->
+        slot := None;
+        ws
+    | None ->
+        {
+          table = Bfs.create ~emit:(fun _ _ -> ()) ~max_states:0 ();
+          graph = Starved.create ();
+        }
+  in
+  Fun.protect ~finally:(fun () -> slot := Some ws) (fun () -> f ws)
 
 let is_prefix = Xset.is_prefix
 
@@ -525,51 +700,56 @@ let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_00
     | Some rr -> rr
     | None -> (Runstate.create p ~x:x1, Runstate.create p ~x:x2)
   in
-  (* A joint state is held as its runs' store ids and keyed by their
-     fingerprint ids — two array reads, no state emitted.  The key is
-     what the joint semantics compare (the runs' [Global.emit]
+  let c = Code.layout p in
+  with_workspace @@ fun { table; graph } ->
+  (* A joint state is held as its runs' packed store ids and keyed by
+     their fingerprint ids — two array reads, no state emitted.  The
+     key is what the joint semantics compare (the runs' [Global.emit]
      fingerprints); the first pair admitted under a key stands for
      every pair with those fingerprints. *)
-  let table =
-    Bfs.create ~max_states
-      ~emit:(fun c (s1, s2) ->
-        Stdx.Codec.add_varint c (Runstate.fingerprint rs1 s1);
-        Stdx.Codec.add_varint c (Runstate.fingerprint rs2 s2))
-      ()
-  in
-  let graph = Starved.graph () in
+  Bfs.reset table ~max_states ~emit:(fun buf s ->
+      Stdx.Codec.add_varint buf (Runstate.fingerprint rs1 (s lsr half));
+      Stdx.Codec.add_varint buf (Runstate.fingerprint rs2 (s land low)));
+  Starved.clear graph;
   Stats.with_frontier ?mem_budget_bytes ?stats ~states:(fun () -> Bfs.length table)
   @@ fun frontier ->
   let violated_run = ref 0 in
-  let unsafe rs s = not (Global.safety_ok (Runstate.state rs s)) in
   (* Each side steps through the shared per-x store, so the [Sim.apply]
      under this (state, move) runs once per input across the whole
      sweep; an [Only1]/[Only2] move keeps the other side's store id.  A
      simulator-rejected move skips the joint move. *)
-  let step _ (s1, s2) jm =
-    let s2' = match jm with Sync m | Only2 m -> Runstate.apply rs2 s2 m | Only1 _ -> s2 in
+  let step _ s jm =
+    let s1 = s lsr half and s2 = s land low in
+    let tag = jm / c.Code.stride in
+    let k = jm - (tag * c.Code.stride) in
+    let s2' = if tag = Code.only1 then s2 else Runstate.apply_code rs2 s2 k in
     let s1' =
       if s2' = Runstate.rejected then Runstate.rejected
-      else match jm with Sync m | Only1 m -> Runstate.apply rs1 s1 m | Only2 _ -> s1
+      else if tag = Code.only2 then s1
+      else Runstate.apply_code rs1 s1 k
     in
-    if s1' = Runstate.rejected then None else Some (s1', s2')
+    if s1' = Runstate.rejected then None else Some (pack s1' s2')
   in
   (* Each store's initial state is its id 0. *)
   let outcome =
-    Bfs.run table frontier ~roots:[ (0, 0) ] ~depth ~deadline:over_deadline
-      ~admitted:(fun _ (s1, s2) ->
-        violated_run := if unsafe rs1 s1 then 1 else if unsafe rs2 s2 then 2 else 0;
+    Bfs.run table frontier ~roots:[ pack 0 0 ] ~depth ~deadline:over_deadline
+      ~admitted:(fun _ s ->
+        violated_run :=
+          if not (Runstate.row rs1 (s lsr half)).Runstate.safe then 1
+          else if not (Runstate.row rs2 (s land low)).Runstate.safe then 2
+          else 0;
         !violated_run > 0)
-      ~moves:(fun id (s1, s2) ->
+      ~moves:(fun id s ->
+        let s1 = s lsr half and s2 = s land low in
         Starved.vertex graph id s1 s2;
-        expansions ~allow_drops ~send_cap:max_sends_per_sender ~recv_cap:max_sends_per_receiver
-          (Runstate.state rs1 s1) (Runstate.state rs2 s2))
-      ~on_edge:(fun _ jm id' -> Starved.edge graph jm id')
+        joint_codes c ~allow_drops ~send_cap:max_sends_per_sender
+          ~recv_cap:max_sends_per_receiver (Runstate.row rs1 s1) (Runstate.row rs2 s2))
+      ~on_edge:(fun _ jm id' -> Starved.edge graph c jm id')
       ~step ()
   in
   let states_explored = Bfs.length table in
   let witness id kind =
-    let moves = snd (Bfs.path table id) in
+    let moves = List.map (Code.to_joint c) (snd (Bfs.path table id)) in
     Witness { x1; x2; kind; joint_moves = moves; depth = List.length moves; states_explored }
   in
   match outcome with
@@ -587,7 +767,8 @@ let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_00
          recorded edges are its full (non-drop) successor list — no
          second [Sim.apply] sweep. *)
       match
-        Starved.find graph ~state1:(Runstate.state rs1) ~state2:(Runstate.state rs2)
+        Starved.find graph c ~row1:(Runstate.row rs1) ~row2:(Runstate.row rs2)
+          ~state1:(Runstate.state rs1) ~state2:(Runstate.state rs2)
           ~channel:p.Protocol.channel
       with
       | Some (id, starved_run) -> witness id (Starvation { starved_run })

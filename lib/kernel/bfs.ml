@@ -3,8 +3,8 @@ module Chan = Channel.Chan
 type ('a, 'm) t = {
   intern : Stdx.Intern.t;
   scratch : Stdx.Codec.t;
-  emit : Stdx.Codec.t -> 'a -> unit;
-  max_states : int;
+  mutable emit : Stdx.Codec.t -> 'a -> unit;
+  mutable max_states : int;
   mutable n : int;  (* admitted ids are exactly [0, n) *)
   mutable parents : int array;  (* -1 at roots *)
   mutable moves : 'm array;  (* written on admission; roots have none *)
@@ -58,6 +58,13 @@ let admit t id v ~parent ~move =
        t.moves.(id) <- move;
        true
      end
+
+let reset t ~emit ~max_states =
+  Stdx.Intern.clear t.intern;
+  Array.fill t.held 0 t.n None;
+  t.emit <- emit;
+  t.max_states <- max_states;
+  t.n <- 0
 
 let take t id =
   let v = Option.get t.held.(id) in

@@ -1,14 +1,16 @@
 (** The one BFS loop of the search engines: {!Core.Stab.search},
     {!Core.Attack.search_single}, {!Core.Attack.search_pair}, the
     forward pass of {!Core.Spec.recoverability} and {!Explore.reachable}
-    all run {!run} on a table of their own.  Each engine supplies only
-    its roots, key emitter, successor rule, stop rule and what it
+    all run {!run} on a table of their own (the joint search reuses
+    one per domain, {!reset} between searches).  Each engine supplies
+    only its roots, key emitter, successor rule, stop rule and what it
     records.
 
     The table is generic over the value it holds per state (['a]: a
-    {!Global.t} for the single-run engines, a pair of store ids for the
-    joint search) and over its move type (['m]).  A caller-supplied
-    emitter writes a value's key into a codec ({!Global.emit},
+    {!Global.t} for the single-run engines, an int packing two store
+    ids for the joint search) and over its move type (['m]; the joint
+    search's are int codes).  A caller-supplied emitter writes a
+    value's key into a codec ({!Global.emit},
     {!Global.emit_run_key}, or the joint search's pair of fingerprint
     ids); keys intern to dense ids in first-seen order, and an id is
     admitted exactly when it is below {!length}, so ids are dense in
@@ -39,6 +41,15 @@ type ('a, 'm) t
 val create : emit:(Stdx.Codec.t -> 'a -> unit) -> max_states:int -> unit -> ('a, 'm) t
 (** {!run} refuses a new state once [max_states] states, roots
     included, are in. *)
+
+val reset : ('a, 'm) t -> emit:(Stdx.Codec.t -> 'a -> unit) -> max_states:int -> unit
+(** Empty the table for another search, as if {!create}d with this
+    [emit] and [max_states]: the next admitted state is id 0, and ids,
+    depths, paths and refusals come out as from a fresh table.  The
+    arrays and the intern table keep their capacity, so a run of
+    searches on one table grows it once; held values are dropped.  The
+    joint search of {!Core.Attack} reuses one table per domain across a
+    sweep this way. *)
 
 type outcome =
   | Found of int  (** [admitted] returned [true] for this id *)

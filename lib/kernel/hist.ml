@@ -21,11 +21,6 @@ let add_action t = function
 
 let to_list t = List.rev t.rev
 
-let prefix t n =
-  if n < 0 || n > t.len then invalid_arg "Hist.prefix: bad length";
-  let rec drop k rev = if k = 0 then rev else match rev with [] -> [] | _ :: rest -> drop (k - 1) rest in
-  { rev = drop (t.len - n) t.rev; len = n }
-
 let add_entry_code buf = function
   | Woke -> Buffer.add_string buf "w;"
   | Got m ->

@@ -35,10 +35,6 @@ val add_action : t -> Action.t -> t
 val to_list : t -> entry list
 (** Oldest first. *)
 
-val prefix : t -> int -> t
-(** [prefix t n] is the history truncated to its first [n] entries.
-    @raise Invalid_argument if [n] exceeds [length t]. *)
-
 val encode : t -> string
 (** Canonical encoding; equal strings iff equal histories.  Computed on
     demand, in one pass over the entries: the knowledge layer, which

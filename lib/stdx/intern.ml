@@ -137,3 +137,19 @@ let name t i =
   t.names.(i)
 
 let length t = t.n
+
+(* Capacity stays: a table reused for a run of searches grows once.
+   Only the occupied slots are zeroed, each found from its id's cached
+   hash (the scan passes slots already zeroed), so emptying costs the
+   ids interned, not the capacity a larger earlier search left.  The
+   names are dropped so the table holds no string past its search. *)
+let clear t =
+  for id = 0 to t.n - 1 do
+    let i = ref (t.hashes.(id) land t.mask) in
+    while t.slots.(!i) <> id + 1 do
+      i := (!i + 1) land t.mask
+    done;
+    t.slots.(!i) <- 0;
+    t.names.(id) <- ""
+  done;
+  t.n <- 0

@@ -20,7 +20,7 @@
     singly; the compare only runs once the stored key's cached hash
     has matched.  Ids never depend on the hash.
 
-    Ids are stable for the lifetime of the table: interning the same
+    Ids are stable until the table is {!clear}ed: interning the same
     fingerprint twice returns the same id, and [name] recovers the
     string (the round-trip the unit tests pin down).  A table is not
     thread-safe; the parallel sweeps in {!Core.Par} keep one table per
@@ -60,3 +60,7 @@ val name : t -> int -> string
 val length : t -> int
 (** Number of distinct strings interned so far; also the next fresh
     id. *)
+
+val clear : t -> unit
+(** Empty the table for reuse, keeping its capacity: the next fresh
+    string gets id 0 again, and no earlier string is held. *)

@@ -9,20 +9,32 @@ type t =
 
 (* ------------------------- printing ------------------------- *)
 
+let hex = "0123456789abcdef"
+
+(* Escape-free runs are copied whole, so a plain string costs one
+   blit. *)
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex.[Char.code c lsr 4];
+          Buffer.add_char buf hex.[Char.code c land 15]);
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start);
   Buffer.add_char buf '"'
 
 (* Shortest of the standard precisions that round-trips the double, so
@@ -41,8 +53,18 @@ let float_repr f =
   (* Keep the token in the number grammar: "3" would re-parse as Int. *)
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n') s then s else s ^ ".0"
 
+(* Indentation is copied from one shared run of spaces, looping past
+   its length. *)
+let spaces = String.make 64 ' '
+
+let rec pad buf n =
+  if n > 0 then begin
+    let k = Int.min n (String.length spaces) in
+    Buffer.add_substring buf spaces 0 k;
+    pad buf (n - k)
+  end
+
 let rec write buf ~indent v =
-  let pad n = String.make n ' ' in
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -57,11 +79,11 @@ let rec write buf ~indent v =
       List.iteri
         (fun i item ->
           Buffer.add_string buf (if i = 0 then "\n" else ",\n");
-          Buffer.add_string buf (pad (indent + 2));
+          pad buf (indent + 2);
           write buf ~indent:(indent + 2) item)
         items;
       Buffer.add_char buf '\n';
-      Buffer.add_string buf (pad indent);
+      pad buf indent;
       Buffer.add_char buf ']'
   | Obj [] -> Buffer.add_string buf "{}"
   | Obj fields ->
@@ -69,13 +91,13 @@ let rec write buf ~indent v =
       List.iteri
         (fun i (k, item) ->
           Buffer.add_string buf (if i = 0 then "\n" else ",\n");
-          Buffer.add_string buf (pad (indent + 2));
+          pad buf (indent + 2);
           escape buf k;
           Buffer.add_string buf ": ";
           write buf ~indent:(indent + 2) item)
         fields;
       Buffer.add_char buf '\n';
-      Buffer.add_string buf (pad indent);
+      pad buf indent;
       Buffer.add_char buf '}'
 
 let to_string v =

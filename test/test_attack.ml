@@ -435,21 +435,40 @@ let test_experiment_digests () =
             (digest (String.concat "\n" (Core.Experiments.notes r))))
     e_digests_pre
 
+(* Whole outcomes, witness paths included, at jobs 1 and 2: each
+   domain reuses its own joint-search tables, so the searches land on
+   different tables at each job count.  The sweeps end in every way a
+   search can: safety stops, starvation witnesses and clean closes. *)
 let test_search_jobs_equivalence () =
-  let p = Protocols.Counting.protocol_on Chan.Reorder_dup ~domain:2 in
-  let xs = [ [ 0; 1 ]; [ 1; 0 ]; [ 1 ]; [ 0 ] ] in
-  let strip (a, b, o) =
-    ( a,
-      b,
-      match o with
-      | Attack.Witness w -> `W (w.Attack.kind, w.Attack.depth, w.Attack.states_explored)
-      | Attack.No_violation { closed; states_explored } -> `N (closed, states_explored) )
+  let outcome_t =
+    Alcotest.testable
+      (fun ppf (x1, x2, o) ->
+        match o with
+        | Attack.Witness w -> Attack.pp_witness ppf w
+        | Attack.No_violation { closed; states_explored } ->
+            Format.fprintf ppf "%a vs %a: closed %b, %d states" Seqspace.Xset.pp_sequence x1
+              Seqspace.Xset.pp_sequence x2 closed states_explored)
+      ( = )
   in
-  let o1, w1 = Attack.search p ~xs ~jobs:1 () in
-  let o4, w4 = Attack.search p ~xs ~jobs:4 () in
-  check Alcotest.bool "outcomes identical" true (List.map strip o1 = List.map strip o4);
-  check Alcotest.bool "first witness identical" true
-    (Option.map (fun w -> w.Attack.kind) w1 = Option.map (fun w -> w.Attack.kind) w4)
+  let sweeps =
+    [
+      ( "counting-dup",
+        fun jobs ->
+          Attack.search (Protocols.Counting.protocol_on Chan.Reorder_dup ~domain:2)
+            ~xs:[ [ 0; 1 ]; [ 1; 0 ]; [ 1 ]; [ 0 ] ] ~jobs () );
+      ( "norep-dup",
+        fun jobs ->
+          Attack.search (Protocols.Norep.dup ~m:2)
+            ~xs:[ [ 0; 0 ]; [ 0; 1 ]; [ 1; 0 ]; [ 1; 1 ] ]
+            ~depth:200 ~jobs () );
+    ]
+  in
+  List.iter
+    (fun (name, sweep) ->
+      let o1, w1 = sweep 1 and o2, w2 = sweep 2 in
+      check (Alcotest.list outcome_t) (name ^ ": outcomes identical") o1 o2;
+      check Alcotest.bool (name ^ ": first witness identical") true (w1 = w2))
+    sweeps
 
 let test_runstate_sharing_invariant () =
   (* Private stores and stores shared across pairs must produce

@@ -124,6 +124,37 @@ let test_stop () =
   check outcome "a root can stop the search" (Bfs.Found 0) o;
   check Alcotest.(list int) "before any step" [] (steps ())
 
+(* A table emptied after a search that stopped with states still held
+   behaves as a fresh one with the new emitter and budget: the same
+   admissions from id 0, the same outcome, ids, depths and paths. *)
+let test_reset () =
+  let t, o = tiny_run ~admitted:(fun _ v -> v = 3) () in
+  check outcome "the first search stopped" (Bfs.Found 3) o;
+  let emit c v = Stdx.Codec.add_varint c (v + 10) in
+  let search t =
+    let note, admitted = log () in
+    let o =
+      Bfs.run t (Stdx.Frontier.create ()) ~roots:[ 5 ] ~depth:max_int
+        ~admitted:(fun id v -> note (id, v); false)
+        ~moves:tiny_moves ~step:tiny_step ()
+    in
+    (o, admitted ())
+  in
+  Bfs.reset t ~emit ~max_states:4;
+  check Alcotest.int "reset empties the table" 0 (Bfs.length t);
+  let fresh = Bfs.create ~emit ~max_states:4 () in
+  let o, admitted = search t and o', admitted' = search fresh in
+  check outcome "the same outcome" o' o;
+  check outcome "the new budget refuses" (Bfs.Exhausted { closed = false }) o;
+  check Alcotest.(list (pair int int)) "the same admissions, from id 0" admitted' admitted;
+  check Alcotest.(pair int int) "the root is id 0" (0, 5) (List.hd admitted);
+  check Alcotest.int "the same length" (Bfs.length fresh) (Bfs.length t);
+  for id = 0 to Bfs.length t - 1 do
+    check Alcotest.int "the same depth" (Bfs.depth fresh id) (Bfs.depth t id);
+    check Alcotest.bool "the same path" true (Bfs.path fresh id = Bfs.path t id)
+  done;
+  check Alcotest.int "a key interns through the new emitter" (Bfs.intern fresh 0) (Bfs.intern t 0)
+
 (* ------------------------- the move filter ------------------------- *)
 
 let test_move_filter () =
@@ -450,6 +481,64 @@ let test_pair_matches_reference () =
   check Alcotest.int "safety, starvation, closed and truncated outcomes all compared" 4
     (Hashtbl.length kinds)
 
+(* Every joint search on a domain reuses that domain's tables, so a
+   sweep's outcomes must not depend on which searches ran before each
+   one.  The sweep below mixes protocols and every kind of ending —
+   safety stops with states still queued, depth and state-budget cuts,
+   starvation witnesses, clean closes — and runs it forward and
+   reversed: each search sees a different predecessor, and must give
+   the same whole outcome, witness path included, and the naive
+   reference's verdict. *)
+let test_pair_sweep_order () =
+  let counting = Protocols.Counting.protocol_on Chan.Reorder_dup ~domain:2 in
+  let dup = Protocols.Norep.dup ~m:2 and del = Protocols.Norep.del ~m:2 in
+  let xs = [ [ 0; 0 ]; [ 0; 1 ]; [ 1; 0 ]; [ 1; 1 ] ] in
+  let pairs p ~depth ~max_states ~caps xs =
+    List.map (fun (x1, x2) -> (p, x1, x2, depth, max_states, caps)) (Attack.eligible_pairs ~xs)
+  in
+  let searches =
+    pairs counting ~depth:64 ~max_states:200_000 ~caps:6 [ [ 0; 1 ]; [ 1; 0 ]; [ 1 ]; [ 0 ] ]
+    @ pairs del ~depth:200 ~max_states:3_000 ~caps:3 xs
+    @ [ (del, [ 0; 1 ], [ 0; 0 ], 2, 3_000, 3); (del, [ 0; 1 ], [ 0; 0 ], 200, 50, 3) ]
+    @ pairs dup ~depth:200 ~max_states:3_000 ~caps:6 xs
+  in
+  let run searches =
+    List.map
+      (fun (p, x1, x2, depth, max_states, caps) ->
+        Attack.search_pair p ~x1 ~x2 ~depth ~max_states ~max_sends_per_sender:caps
+          ~max_sends_per_receiver:caps ())
+      searches
+  in
+  let forward = run searches in
+  let reversed = List.rev (run (List.rev searches)) in
+  let kinds = Hashtbl.create 4 in
+  List.iter2
+    (fun (p, x1, x2, depth, max_states, caps) (o, o') ->
+      let seq x = String.concat "" (List.map string_of_int x) in
+      let name = Printf.sprintf "%s %s/%s" p.Protocol.name (seq x1) (seq x2) in
+      check Alcotest.bool (name ^ ": the same outcome in either order") true (o = o');
+      let verdict =
+        match o with
+        | Attack.Witness { kind = Attack.Safety { violated_run }; depth; states_explored; _ } ->
+            Hashtbl.replace kinds "safety" ();
+            Error (violated_run, depth, states_explored)
+        | Attack.Witness { kind = Attack.Starvation _; states_explored; _ } ->
+            Hashtbl.replace kinds "starvation" ();
+            Ok (true, states_explored)
+        | Attack.No_violation { closed; states_explored } ->
+            Hashtbl.replace kinds (if closed then "closed" else "truncated") ();
+            Ok (closed, states_explored)
+      in
+      check
+        Alcotest.(result (pair bool int) (triple int int int))
+        (name ^ ": the reference's verdict")
+        (reference_pair p ~x1 ~x2 ~depth ~max_states ~caps)
+        verdict)
+    searches
+    (List.combine forward reversed);
+  check Alcotest.int "safety, starvation, closed and truncated endings all met" 4
+    (Hashtbl.length kinds)
+
 let () =
   Alcotest.run "bfs"
     [
@@ -466,6 +555,7 @@ let () =
           Alcotest.test_case "spent deadline" `Quick test_spent_deadline;
           Alcotest.test_case "edges to seen states" `Quick test_edges_to_seen_states;
           Alcotest.test_case "stop" `Quick test_stop;
+          Alcotest.test_case "reset" `Quick test_reset;
         ] );
       ( "oracles",
         [
@@ -473,5 +563,6 @@ let () =
             test_single_and_spec_match_explore;
           Alcotest.test_case "stab search vs reference bfs" `Quick test_stab_matches_reference;
           Alcotest.test_case "joint search vs reference bfs" `Quick test_pair_matches_reference;
+          Alcotest.test_case "joint sweep in either order" `Quick test_pair_sweep_order;
         ] );
     ]

@@ -582,6 +582,114 @@ let prop_json_roundtrip =
   QCheck.Test.make ~name:"Json.parse inverts Json.to_string" ~count:1000 (QCheck.make json_gen)
     (fun v -> match Json.parse (Json.to_string v) with Ok v' -> Json.equal v v' | Error _ -> false)
 
+(* The printer before it indented from one shared run of spaces and
+   copied escape-free runs whole, verbatim: the reference its bytes
+   must match. *)
+module Reference_printer = struct
+  let escape buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let float_repr f =
+    let try_prec p =
+      let s = Printf.sprintf "%.*g" p f in
+      if float_of_string s = f then Some s else None
+    in
+    let s =
+      match try_prec 12 with
+      | Some s -> s
+      | None -> ( match try_prec 15 with Some s -> s | None -> Printf.sprintf "%.17g" f)
+    in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n') s then s else s ^ ".0"
+
+  let rec write buf ~indent v =
+    let pad n = String.make n ' ' in
+    match v with
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Json.Int n -> Buffer.add_string buf (string_of_int n)
+    | Json.Float f ->
+        if Float.is_finite f then Buffer.add_string buf (float_repr f)
+        else Buffer.add_string buf "null"
+    | Json.String s -> escape buf s
+    | Json.List [] -> Buffer.add_string buf "[]"
+    | Json.List items ->
+        Buffer.add_string buf "[";
+        List.iteri
+          (fun i item ->
+            Buffer.add_string buf (if i = 0 then "\n" else ",\n");
+            Buffer.add_string buf (pad (indent + 2));
+            write buf ~indent:(indent + 2) item)
+          items;
+        Buffer.add_char buf '\n';
+        Buffer.add_string buf (pad indent);
+        Buffer.add_char buf ']'
+    | Json.Obj [] -> Buffer.add_string buf "{}"
+    | Json.Obj fields ->
+        Buffer.add_string buf "{";
+        List.iteri
+          (fun i (k, item) ->
+            Buffer.add_string buf (if i = 0 then "\n" else ",\n");
+            Buffer.add_string buf (pad (indent + 2));
+            escape buf k;
+            Buffer.add_string buf ": ";
+            write buf ~indent:(indent + 2) item)
+          fields;
+        Buffer.add_char buf '\n';
+        Buffer.add_string buf (pad indent);
+        Buffer.add_char buf '}'
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    write buf ~indent:0 v;
+    Buffer.contents buf
+end
+
+(* Nesting 40 deep indents 80 columns, past the printer's shared run
+   of spaces, and the strings hold every byte value — each escape the
+   printer writes, runs between escapes, and escapes at both ends. *)
+let test_json_printer_matches_reference () =
+  let every_byte = String.init 256 Char.chr in
+  let strings =
+    [
+      "";
+      every_byte;
+      "\"\\\n\r\t\000\031";
+      "plain run";
+      "\"quoted\"";
+      "a\tb\nc\\d\001e";
+      "caf\xc3\xa9 \x7f";
+    ]
+  in
+  let leaves = List.map (fun s -> Json.String s) strings @ [ Json.Int (-3); Json.Float 0.5; Json.Null ] in
+  let rec nest k v =
+    if k = 0 then v
+    else
+      nest (k - 1)
+        (if k mod 2 = 0 then Json.List [ Json.Bool true; v; Json.List [] ]
+         else Json.Obj [ (every_byte, v); ("k", Json.Obj []) ])
+  in
+  List.iter
+    (fun v ->
+      check Alcotest.string "same bytes" (Reference_printer.to_string v) (Json.to_string v))
+    (Json.List leaves :: List.map (nest 40) leaves)
+
+let prop_json_printer_matches_reference =
+  QCheck.Test.make ~name:"Json.to_string agrees with the reference printer" ~count:1000
+    (QCheck.make json_gen) (fun v -> String.equal (Json.to_string v) (Reference_printer.to_string v))
+
 (* ------------------------- Stats ------------------------- *)
 
 let test_stats_summary () =
@@ -786,6 +894,22 @@ let prop_intern_bijective =
       let ids = List.map (Intern.id t) ss in
       List.for_all2 (fun s i -> Intern.name t i = s) ss ids
       && Intern.length t = List.length (List.sort_uniq String.compare ss))
+
+(* A cleared table, whatever it held and however far it grew, interns
+   like a fresh one: the same ids and freshness, and nothing from
+   before it was cleared. *)
+let prop_intern_clear_is_fresh =
+  QCheck.Test.make ~name:"a cleared table interns like a fresh one"
+    QCheck.(pair (list small_string) (small_list small_string))
+    (fun (before, after) ->
+      let t = Intern.create ~size:2 () in
+      List.iter (fun s -> ignore (Intern.intern t s)) before;
+      Intern.clear t;
+      let fresh = Intern.create () in
+      Intern.length t = 0
+      && List.for_all (fun s -> Intern.find_opt t s = None) before
+      && List.for_all (fun s -> Intern.intern t s = Intern.intern fresh s) after
+      && List.for_all (fun s -> Intern.find_opt t s = Intern.find_opt fresh s) (before @ after))
 
 (* The probe hashes and compares a word at a time and the tail bytes
    singly, so keys here are mostly at least a word long, and most are
@@ -1014,6 +1138,7 @@ let () =
           qtest prop_intern_bijective;
           qtest prop_intern_near_duplicates;
           qtest prop_codec_intern_bytes_agrees;
+          qtest prop_intern_clear_is_fresh;
         ] );
       ( "frontier",
         [
@@ -1023,7 +1148,13 @@ let () =
           qtest prop_frontier_spill_transparent;
         ] );
       ( "json",
-        [ qtest prop_json_roundtrip; qtest prop_json_parse_matches_reference ] );
+        [
+          qtest prop_json_roundtrip;
+          qtest prop_json_parse_matches_reference;
+          Alcotest.test_case "printer matches the reference" `Quick
+            test_json_printer_matches_reference;
+          qtest prop_json_printer_matches_reference;
+        ] );
       ( "clock",
         [ Alcotest.test_case "deadline reads wall time" `Quick test_clock_deadline_is_wall_time ] );
     ]
