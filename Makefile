@@ -74,17 +74,22 @@ stab-smoke:
 # searches land on other tables, after other searches, than at --jobs 1;
 # the artifacts must still match byte for byte.  The sweeps end in every
 # way a search can: three safety witnesses that stop their searches
-# early, two starvation witnesses, and clean closes.
+# early, two starvation witnesses, and clean closes.  The third sweep
+# runs with and without --symm: the quotient and the plain sweep are
+# one path, and must write the same artifact at either job count.
 attack-jobs:
 	dune build bin/stp_cli.exe
 	for j in 1 2; do \
 	  _build/default/bin/stp_cli.exe attack -p counting -c dup -d 2 -x 0,1 -x 1,0 -x 1 -x 0 --jobs $$j --json _build/stp_attack_safety_j$$j.json > /dev/null || exit 1; \
 	  _build/default/bin/stp_cli.exe attack -p norep -c dup -d 2 -x 0,0 -x 0,1 -x 1,0 -x 1,1 --depth 200 --jobs $$j --json _build/stp_attack_starve_j$$j.json > /dev/null || exit 1; \
 	  _build/default/bin/stp_cli.exe attack -p norep -c del -d 2 --symm -x 0,1 -x 1,0 -x 0 -x 1 --jobs $$j --json _build/stp_attack_m5_j$$j.json > /dev/null || exit 1; \
+	  _build/default/bin/stp_cli.exe attack -p norep -c del -d 2 -x 0,1 -x 1,0 -x 0 -x 1 --jobs $$j --json _build/stp_attack_m5_plain_j$$j.json > /dev/null || exit 1; \
 	done
 	cmp _build/stp_attack_safety_j1.json _build/stp_attack_safety_j2.json
 	cmp _build/stp_attack_starve_j1.json _build/stp_attack_starve_j2.json
 	cmp _build/stp_attack_m5_j1.json _build/stp_attack_m5_j2.json
+	cmp _build/stp_attack_m5_j1.json _build/stp_attack_m5_plain_j1.json
+	cmp _build/stp_attack_m5_j2.json _build/stp_attack_m5_plain_j2.json
 
 # The end-to-end benchmark's three workloads, briefly and traced (about
 # 13 s in all): each run's last line must read correct with no failed

@@ -155,11 +155,14 @@ let e11_workload () =
 let e12_workload () =
   ignore (Core.Spec.recoverability (Protocols.Abp.protocol ~domain:2) ~input:[ 0; 1 ] ())
 
-(* The all-pairs sweep with one [Attack.Runstate] store per input
-   shared across all its pairs, as [Attack.search] runs it.  A deleting
+(* The all-pairs sweep through the public [Attack.search] entry point,
+   plain and quotiented: same pair list, same caps, the delta is the
+   orbit dedup (alphabet permutations composed with the joint-space run
+   swap, plus the canonicalisation overhead it pays for).  A deleting
    channel with tight send caps gives each pair a closed joint space of
    a few thousand states, where each single-run state is revisited many
-   times. *)
+   times through the per-input [Attack.Runstate] stores.  Sequential so
+   the ratio isolates the quotient, not the domain pool. *)
 let sweep_protocol = lazy (Protocols.Norep.del ~m:3)
 
 let sweep_xs =
@@ -167,45 +170,11 @@ let sweep_xs =
 
 let sweep_caps = 3
 
-let sweep_pairs = lazy (Core.Attack.eligible_pairs ~xs:(Lazy.force sweep_xs))
-
-let sweep_shared_workload () =
-  let p = Lazy.force sweep_protocol in
-  let stores = Hashtbl.create 8 in
-  let store x =
-    match Hashtbl.find_opt stores x with
-    | Some rs -> rs
-    | None ->
-        let rs = Core.Attack.Runstate.create p ~x in
-        Hashtbl.add stores x rs;
-        rs
-  in
-  List.iter
-    (fun (x1, x2) ->
-      let runstates = (store x1, store x2) in
-      ignore
-        (Core.Attack.search_pair p ~x1 ~x2 ~depth:200 ~max_sends_per_sender:sweep_caps
-           ~max_sends_per_receiver:sweep_caps ~runstates ()))
-    (Lazy.force sweep_pairs)
-
-(* The quotiented sweep against its unquotiented twin, through the
-   public [Attack.search] entry point: same pair list, same caps, the
-   delta is the orbit dedup (plus the canonicalisation overhead it
-   pays for).  Sequential so the ratio isolates the quotient, not the
-   domain pool. *)
-let sweep_quotient_workload ~symm ~swap_symm () =
+let sweep_workload ~symm () =
   let p = Lazy.force sweep_protocol in
   ignore
     (Core.Attack.search p ~xs:(Lazy.force sweep_xs) ~depth:200
-       ~max_sends_per_sender:sweep_caps ~max_sends_per_receiver:sweep_caps ~symm ~swap_symm
-       ~jobs:1 ())
-
-(* Three rungs of the quotient ladder: plain, alphabet permutations
-   only, and permutations composed with the joint-space run swap — the
-   swapsymm/symm ratio is the swap's marginal win. *)
-let sweep_symm_workload () = sweep_quotient_workload ~symm:true ~swap_symm:false ()
-let sweep_swapsymm_workload () = sweep_quotient_workload ~symm:true ~swap_symm:true ()
-let sweep_nosymm_workload () = sweep_quotient_workload ~symm:false ~swap_symm:false ()
+       ~max_sends_per_sender:sweep_caps ~max_sends_per_receiver:sweep_caps ~symm ~jobs:1 ())
 
 (* The canonicalisation kernel in isolation: first-occurrence
    relabelling of every eligible m=4 pair — the exact per-pair work
@@ -246,13 +215,6 @@ let frontier_spill_workload () =
     done
   done;
   Stdx.Frontier.close f
-
-(* A codec-layer micro: generate and fingerprint a few thousand states
-   through the emit + intern_bytes hot path, isolated from the attack
-   bookkeeping. *)
-let fingerprint_workload =
-  let p = Protocols.Norep.dup ~m:2 in
-  fun () -> ignore (Kernel.Explore.reachable p ~input:[| 0; 1 |] ~depth:12 ())
 
 (* The fault-injection pipeline end to end: battery construction,
    per-case split-RNG runs, recovery verdicts, report folding.
@@ -349,14 +311,11 @@ let benches =
     ("stab_sweep_ladder", stab_sweep_ladder_workload);
     ("sched_batch", sched_batch_workload);
     ("serve_batch", serve_batch_workload);
-    ("sweep_allpairs_shared", sweep_shared_workload);
-    ("sweep_allpairs_symm", sweep_symm_workload);
-    ("sweep_allpairs_swapsymm", sweep_swapsymm_workload);
-    ("sweep_allpairs_nosymm", sweep_nosymm_workload);
+    ("sweep_allpairs_swapsymm", sweep_workload ~symm:true);
+    ("sweep_allpairs_nosymm", sweep_workload ~symm:false);
     ("state_canon", state_canon_workload);
     ("frontier_pack", frontier_pack_workload);
     ("frontier_spill", frontier_spill_workload);
-    ("state_fingerprint_bfs", fingerprint_workload);
     ("kernel_full_run", sim_step_workload);
     ("alpha_100", alpha_workload);
     ("mu_code_build_m5", code_build_workload);

@@ -267,11 +267,8 @@ let attack_run protocol config x1 x2 xs depth single symm mem_budget jobs json =
   else begin
     let outcome =
       if single then
-        Core.Attack.search_single p ~x:x1 ~depth ?mem_budget_bytes:mem_budget ?stats
-          ~symm ()
-      else
-        Core.Attack.search_pair p ~x1 ~x2 ~depth ?mem_budget_bytes:mem_budget ?stats
-          ~symm ()
+        Core.Attack.search_single p ~x:x1 ~depth ?mem_budget_bytes:mem_budget ?stats ()
+      else Core.Attack.search_pair p ~x1 ~x2 ~depth ?mem_budget_bytes:mem_budget ?stats ()
     in
     (match outcome with
     | Core.Attack.Witness w -> Format.printf "%a@." Core.Attack.pp_witness w
@@ -314,10 +311,11 @@ let attack_cmd =
       value & flag
       & info [ "symm" ]
           ~doc:
-            "Quotient the search by data-alphabet symmetry: canonicalise inputs by \
-             first-occurrence relabelling, search one representative per orbit of input \
-             pairs, and translate witnesses back.  Outcomes are unchanged; only protocols \
-             declaring an equivariance are affected (others ignore the flag).")
+            "Quotient an all-pairs sweep ($(b,-x)) by data-alphabet symmetry composed with \
+             the run swap: canonicalise each pair by first-occurrence relabelling, search \
+             one representative per orbit, and translate witnesses back.  Outcomes are \
+             unchanged; only protocols declaring an equivariance are affected (others ignore \
+             the flag).  A single search (--x1/--x2 or --single) is never quotiented.")
   in
   let mem_budget =
     Arg.(
@@ -717,11 +715,10 @@ let serve_run once spool jobs timeslice results_only poll_seconds max_batches id
       match Serve.load_batch path with
       | Error e -> `Error (false, Printf.sprintf "%s: %s" path e)
       | Ok batch -> (
-          let t0 = Unix.gettimeofday () in
+          let t0 = Stdx.Clock.now () in
           let outcomes, stats = Serve.run_batch ~jobs ~timeslice batch in
           let telemetry =
-            Serve.observe Serve.telemetry_zero stats
-              ~wall_seconds:(Unix.gettimeofday () -. t0)
+            Serve.observe Serve.telemetry_zero stats ~wall_seconds:(Stdx.Clock.now () -. t0)
           in
           let results = Serve.results_report ~label:(Filename.basename path) outcomes in
           let telemetry_r = Serve.telemetry_report telemetry in

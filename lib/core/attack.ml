@@ -688,13 +688,11 @@ let with_workspace f =
 
 let is_prefix = Xset.is_prefix
 
-let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_000)
-    ?allow_drops ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?max_seconds
-    ?runstates ?mem_budget_bytes ?stats () =
-  let allow_drops =
-    match allow_drops with Some b -> b | None -> Chan.deletes p.Protocol.channel
-  in
-  let over_deadline = Stdx.Clock.deadline max_seconds in
+let search_pair (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_000)
+    ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?runstates ?mem_budget_bytes
+    ?stats () =
+  (* A joint search drops exactly when the channel deletes. *)
+  let allow_drops = Chan.deletes p.Protocol.channel in
   let rs1, rs2 =
     match runstates with
     | Some rr -> rr
@@ -732,7 +730,7 @@ let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_00
   in
   (* Each store's initial state is its id 0. *)
   let outcome =
-    Bfs.run table frontier ~roots:[ pack 0 0 ] ~depth ~deadline:over_deadline
+    Bfs.run table frontier ~roots:[ pack 0 0 ] ~depth
       ~admitted:(fun _ s ->
         violated_run :=
           if not (Runstate.row rs1 (s lsr half)).Runstate.safe then 1
@@ -855,72 +853,37 @@ let canon_pair_swap ~m x1 x2 =
   let cks, pis = Symm.canon_pair ~m x2 x1 in
   if compare cks ck < 0 then (cks, pis, true) else (ck, pi, false)
 
-let search_pair (p : Protocol.t) ~x1 ~x2 ?depth ?max_states ?allow_drops
-    ?max_sends_per_sender ?max_sends_per_receiver ?max_seconds ?runstates
-    ?mem_budget_bytes ?stats ?(symm = false) () =
-  let quotient =
-    (* Caller-supplied stores are tied to the literal inputs, so the
-       canonical rewrite only applies to self-contained searches
-       ({!search} canonicalises before building its shared stores). *)
-    match (runstates, if symm then p.Protocol.symmetry else None) with
-    | None, Some eq -> Some eq
-    | _ -> None
-  in
-  match quotient with
-  | None ->
-      search_pair_raw p ~x1 ~x2 ?depth ?max_states ?allow_drops ?max_sends_per_sender
-        ?max_sends_per_receiver ?max_seconds ?runstates ?mem_budget_bytes ?stats ()
-  | Some eq ->
-      let m = infer_m [ x1; x2 ] in
-      let (cx1, cx2), pi = Symm.canon_pair ~m x1 x2 in
-      search_pair_raw p ~x1:cx1 ~x2:cx2 ?depth ?max_states ?allow_drops
-        ?max_sends_per_sender ?max_sends_per_receiver ?max_seconds ?mem_budget_bytes
-        ?stats ()
-      |> relabel_outcome eq pi ~x1 ~x2
-
 let search_single (p : Protocol.t) ~x ?(depth = 64) ?(max_states = 200_000) ?allow_drops
-    ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?max_seconds
-    ?mem_budget_bytes ?stats ?(symm = false) () =
-  (* Under the quotient, search the canonical relabelling of [x] and
-     translate any witness back. *)
-  let x, relabel =
-    match (if symm then p.Protocol.symmetry else None) with
-    | None -> (x, Fun.id)
-    | Some eq ->
-        let cx, pi = Symm.canon_seq ~m:(infer_m [ x ]) x in
-        (cx, relabel_outcome eq pi ~x1:x ~x2:x)
-  in
+    ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?mem_budget_bytes ?stats () =
   let allow_drops =
     match allow_drops with Some b -> b | None -> Chan.deletes p.Protocol.channel
   in
   let keep = Bfs.move_filter ~allow_drops ~max_sends_per_sender ~max_sends_per_receiver in
-  let over_deadline = Stdx.Clock.deadline max_seconds in
   let table = Bfs.create ~emit:Global.emit ~max_states () in
   Stats.with_frontier ?mem_budget_bytes ?stats ~states:(fun () -> Bfs.length table)
   @@ fun frontier ->
   let outcome =
     Bfs.run table frontier
       ~roots:[ Global.initial p ~input:(Array.of_list x) ]
-      ~depth ~deadline:over_deadline ~admitted:(fun _ g -> not (Global.safety_ok g))
+      ~depth ~admitted:(fun _ g -> not (Global.safety_ok g))
       ~moves:(fun _ g -> Sim.enabled p g)
       ~step:(fun _ g move -> if keep g move then Some (Sim.apply p g move) else None)
       ()
   in
   let states_explored = Bfs.length table in
-  relabel
-    (match outcome with
-    | Bfs.Found id ->
-        let moves = List.map (fun m -> Only1 m) (snd (Bfs.path table id)) in
-        Witness
-          {
-            x1 = x;
-            x2 = x;
-            kind = Safety { violated_run = 1 };
-            joint_moves = moves;
-            depth = List.length moves;
-            states_explored;
-          }
-    | Bfs.Exhausted { closed } -> No_violation { closed; states_explored })
+  match outcome with
+  | Bfs.Found id ->
+      let moves = List.map (fun m -> Only1 m) (snd (Bfs.path table id)) in
+      Witness
+        {
+          x1 = x;
+          x2 = x;
+          kind = Safety { violated_run = 1 };
+          joint_moves = moves;
+          depth = List.length moves;
+          states_explored;
+        }
+  | Bfs.Exhausted { closed } -> No_violation { closed; states_explored }
 
 let eligible_pairs ~xs =
   let rec pairs = function
@@ -933,18 +896,48 @@ let eligible_pairs ~xs =
   in
   pairs xs
 
-let search p ~xs ?depth ?max_states ?allow_drops ?max_sends_per_sender
-    ?max_sends_per_receiver ?max_seconds ?jobs ?mem_budget_bytes ?stats ?(symm = false)
-    ?(swap_symm = true) () =
-  let all_pairs = eligible_pairs ~xs in
-  (* One transition store per distinct input, built up front and
-     shared by every pair that input participates in: the α(m)² sweep
-     computes each single-run (state, move) successor once per input
-     instead of once per pair.  The stores are mutex-guarded, so the
-     pair searches stay embarrassingly parallel — disjoint joint
-     tables, shared read-mostly caches.  Par.map preserves order, so
-     the outcome list and the first witness are identical at any job
-     count. *)
+let search p ~xs ?depth ?max_states ?max_sends_per_sender ?max_sends_per_receiver ?jobs
+    ?mem_budget_bytes ?stats ?(symm = false) () =
+  (* Every eligible pair is tagged with its representative and the map
+     that carries the representative's outcome back to it.  Without the
+     quotient the group is trivial: a pair is its own representative,
+     mapped back by the identity.  Under it, the representative is the
+     composed canonical form, mapped back by relabelling through π⁻¹ and,
+     when the swapped ordering won, mirroring the runs. *)
+  let tag =
+    match (if symm then p.Protocol.symmetry else None) with
+    | None -> fun (x1, x2) -> (x1, x2, (x1, x2), Fun.id)
+    | Some eq ->
+        let m = infer_m xs in
+        fun (x1, x2) ->
+          let ck, pi, swapped = canon_pair_swap ~m x1 x2 in
+          ( x1,
+            x2,
+            ck,
+            if swapped then fun o -> mirror_outcome (relabel_outcome eq pi ~x1:x2 ~x2:x1 o)
+            else relabel_outcome eq pi ~x1 ~x2 )
+  in
+  let tagged = List.map tag (eligible_pairs ~xs) in
+  (* Each representative is searched once, in order of first
+     occurrence; so is a pair listed twice (an input repeated in
+     [xs]). *)
+  let index : (int list * int list, int) Hashtbl.t = Hashtbl.create 16 in
+  let reps =
+    List.filter_map
+      (fun (_, _, rep, _) ->
+        if Hashtbl.mem index rep then None
+        else begin
+          Hashtbl.add index rep (Hashtbl.length index);
+          Some rep
+        end)
+      tagged
+  in
+  (* One transition store per distinct searched input, built up front
+     and shared by every search that input takes part in, so each
+     single-run (state, move) successor is computed once per input.
+     The stores are mutex-guarded, so the searches stay embarrassingly
+     parallel; Par.map preserves order, so the outcome list and the
+     first witness are identical at any job count. *)
   let stores : (int list, Runstate.t) Hashtbl.t = Hashtbl.create 8 in
   let store x =
     match Hashtbl.find_opt stores x with
@@ -954,80 +947,18 @@ let search p ~xs ?depth ?max_states ?allow_drops ?max_sends_per_sender
         Hashtbl.add stores x rs;
         rs
   in
+  let rep_outcomes =
+    Array.of_list
+      (Par.map ?jobs
+         (fun (x1, x2, rs1, rs2) ->
+           search_pair p ~x1 ~x2 ?depth ?max_states ?max_sends_per_sender
+             ?max_sends_per_receiver ~runstates:(rs1, rs2) ?mem_budget_bytes ?stats ())
+         (List.map (fun (x1, x2) -> (x1, x2, store x1, store x2)) reps))
+  in
   let outcomes =
-    match (if symm then p.Protocol.symmetry else None) with
-    | None ->
-        let tagged = List.map (fun (x1, x2) -> (x1, x2, store x1, store x2)) all_pairs in
-        Par.map ?jobs
-          (fun (x1, x2, rs1, rs2) ->
-            ( x1,
-              x2,
-              search_pair_raw p ~x1 ~x2 ?depth ?max_states ?allow_drops
-                ?max_sends_per_sender ?max_sends_per_receiver ?max_seconds
-                ~runstates:(rs1, rs2) ?mem_budget_bytes ?stats () ))
-          tagged
-    | Some eq ->
-        (* Orbit quotient: tag every eligible pair with its canonical
-           image and permutation, search only the first occurrence of
-           each canonical pair, and expand the representative outcomes
-           back over the full pair list in the original order — so the
-           report is shaped exactly like the unquotiented sweep's, and
-           the saved work is the whole point.  Stores are keyed by
-           *canonical* inputs, which also overlap far more than raw
-           inputs do.  With [swap_symm] (the default) the quotient
-           composes with the run-swap symmetry: both orderings of a
-           pair share one representative, and members whose orientation
-           lost the canonical race get mirrored outcomes. *)
-        let m = infer_m xs in
-        let canon x1 x2 =
-          if swap_symm then canon_pair_swap ~m x1 x2
-          else
-            let ckey, pi = Symm.canon_pair ~m x1 x2 in
-            (ckey, pi, false)
-        in
-        let tagged =
-          List.map
-            (fun (x1, x2) ->
-              let ckey, pi, swapped = canon x1 x2 in
-              (x1, x2, ckey, pi, swapped))
-            all_pairs
-        in
-        let rep_index : (int list * int list, int) Hashtbl.t = Hashtbl.create 16 in
-        let reps = ref [] in
-        List.iter
-          (fun (_, _, ckey, _, _) ->
-            if not (Hashtbl.mem rep_index ckey) then begin
-              Hashtbl.add rep_index ckey (Hashtbl.length rep_index);
-              reps := ckey :: !reps
-            end)
-          tagged;
-        let rep_tagged =
-          List.rev_map (fun ((cx1, cx2) as ck) -> (ck, store cx1, store cx2)) !reps
-        in
-        let rep_outcomes =
-          Array.make (Hashtbl.length rep_index) (No_violation { closed = false; states_explored = 0 })
-        in
-        List.iter2
-          (fun (ck, _, _) o -> rep_outcomes.(Hashtbl.find rep_index ck) <- o)
-          rep_tagged
-          (Par.map ?jobs
-             (fun ((cx1, cx2), rs1, rs2) ->
-               search_pair_raw p ~x1:cx1 ~x2:cx2 ?depth ?max_states ?allow_drops
-                 ?max_sends_per_sender ?max_sends_per_receiver ?max_seconds
-                 ~runstates:(rs1, rs2) ?mem_budget_bytes ?stats ())
-             rep_tagged);
-        List.map
-          (fun (x1, x2, ckey, pi, swapped) ->
-            let o = rep_outcomes.(Hashtbl.find rep_index ckey) in
-            let o =
-              if swapped then
-                (* The representative is [(x2, x1)]'s canonical image:
-                   relabel back to [(x2, x1)], then mirror the runs. *)
-                mirror_outcome (relabel_outcome eq pi ~x1:x2 ~x2:x1 o)
-              else relabel_outcome eq pi ~x1 ~x2 o
-            in
-            (x1, x2, o))
-          tagged
+    List.map
+      (fun (x1, x2, rep, back) -> (x1, x2, back rep_outcomes.(Hashtbl.find index rep)))
+      tagged
   in
   let first_witness =
     List.find_map (function _, _, Witness w -> Some w | _, _, No_violation _ -> None) outcomes

@@ -56,14 +56,15 @@
     search it runs, so a sweep grows them once; the frontier is still
     made per search.
 
-    With [~symm:true], searches on protocols declaring an
-    {!Kernel.Symm.equivariance} are quotiented by data-alphabet
-    permutations: inputs are canonicalised by first-occurrence
-    relabelling before searching, {!search} searches one
-    representative per orbit of input pairs, and witness paths are
-    translated back through the inverse permutation.  Outcomes are
-    unchanged — up to m! of the work disappears.  See {!Kernel.Symm}
-    and DESIGN.md ("The symmetry quotient"). *)
+    With [~symm:true], on a protocol declaring an
+    {!Kernel.Symm.equivariance}, {!search} is quotiented by
+    data-alphabet permutations composed with the run swap: it searches
+    one representative per orbit of input pairs and translates witness
+    paths back.  Outcomes are unchanged; up to 2·m! pair searches
+    collapse into one.  A single search is never quotiented:
+    relabelling it only maps it onto an isomorphic space of the same
+    size.  See {!Kernel.Symm} and DESIGN.md ("The symmetry
+    quotient"). *)
 
 type joint_move =
   | Sync of Kernel.Move.t  (** receiver-visible; applied to both runs *)
@@ -138,15 +139,6 @@ module Runstate : sig
   (** The id {!apply} returns for a refused move: negative, never a
       state's. *)
 
-  val state : t -> int -> Kernel.Global.t
-  (** The state with this id.  Lock-free and safe from any domain for
-      an id the store handed out. *)
-
-  val fingerprint : t -> int -> int
-  (** The id of the state's [Global.emit] fingerprint among this
-      store's states: equal exactly when the fingerprints are.
-      Lock-free, like {!state}. *)
-
   val states : t -> int
   (** Distinct states interned so far. *)
 
@@ -187,10 +179,6 @@ module Stats : sig
   val create : unit -> t
   val snapshot : t -> snapshot
 
-  val note : t -> Stdx.Frontier.stats -> joint_states:int -> unit
-  (** Merge one finished search's frontier counters and state-table
-      size into the accumulator. *)
-
   val with_frontier :
     ?mem_budget_bytes:int ->
     ?stats:t ->
@@ -199,7 +187,7 @@ module Stats : sig
     'a
   (** [with_frontier ?mem_budget_bytes ?stats ~states f] runs one
       search's loop [f] on a fresh frontier; on every exit path,
-      exceptions included, it {!note}s the frontier's counters and
+      exceptions included, it merges the frontier's counters and
       [states ()] into [stats] and closes the frontier, releasing any
       spill file.  Every engine with a frontier runs its
       {!Kernel.Bfs.run} inside it: {!search_pair}, {!search_single},
@@ -213,14 +201,11 @@ val search_pair :
   x2:int list ->
   ?depth:int ->
   ?max_states:int ->
-  ?allow_drops:bool ->
   ?max_sends_per_sender:int ->
   ?max_sends_per_receiver:int ->
-  ?max_seconds:float ->
   ?runstates:Runstate.t * Runstate.t ->
   ?mem_budget_bytes:int ->
   ?stats:Stats.t ->
-  ?symm:bool ->
   unit ->
   outcome
 (** [search_pair p ~x1 ~x2 ()] explores the joint system.
@@ -232,26 +217,19 @@ val search_pair :
     receiver's acknowledgement sends — necessary on deleting
     channels, where the reverse channel's multiset would otherwise
     grow without bound and the joint space would never close.
-    Defaults: [depth = 64], [max_states = 200_000], [allow_drops]
-    follows the protocol's channel kind.  [max_seconds] adds a
-    wall-clock guard ({!Stdx.Clock}): an exceeded budget truncates the search
-    ([closed = false]) like the state budget does, so a partial
-    outcome comes back instead of an open-ended run.  [runstates]
-    supplies the two
-    runs' transition stores (run 1's first) — pass stores shared with
-    other pairs to reuse their memoised transitions, as {!search}
-    does; when omitted, fresh private stores are created.  Sharing
-    never changes the outcome, only the work.  [mem_budget_bytes]
-    bounds the BFS frontier's resident memory: past the budget, full
-    chunks spill to an unlinked temp file and page back in FIFO order
-    — the outcome (and any report built from it) is byte-identical to
-    the unbounded search's, only where frontier bytes live changes.
-    [stats] names an accumulator to merge this search's resource
-    counters into (see {!Stats}).  [symm] (default
-    [false]) searches the canonical relabelling of [(x1, x2)] and
-    translates any witness back — a no-op unless the protocol
-    declares an equivariance; ignored when [runstates] is supplied
-    (caller stores are tied to the literal inputs). *)
+    Defaults: [depth = 64], [max_states = 200_000].  Sender-side drops
+    are joint moves exactly when the protocol's channel deletes.
+    [runstates] supplies the two runs' transition stores (run 1's
+    first) — pass stores shared with other pairs to reuse their
+    memoised transitions, as {!search} does; when omitted, fresh
+    private stores are created.  Sharing never changes the outcome,
+    only the work.  [mem_budget_bytes] bounds the BFS frontier's
+    resident memory: past the budget, full chunks spill to an unlinked
+    temp file and page back in FIFO order — the outcome (and any
+    report built from it) is byte-identical to the unbounded search's,
+    only where frontier bytes live changes.  [stats] names an
+    accumulator to merge this search's resource counters into (see
+    {!Stats}). *)
 
 val search_single :
   Kernel.Protocol.t ->
@@ -261,18 +239,17 @@ val search_single :
   ?allow_drops:bool ->
   ?max_sends_per_sender:int ->
   ?max_sends_per_receiver:int ->
-  ?max_seconds:float ->
   ?mem_budget_bytes:int ->
   ?stats:Stats.t ->
-  ?symm:bool ->
   unit ->
   outcome
 (** Single-run safety search: BFS over *one* run's full adversary
     choice space for a reachable unsafe state.  Catches violations
     that need no confuser pair — e.g. duplication making the
     Alternating Bit receiver write a third item on a two-item input.
-    The witness's [x1 = x2 = x] and all moves are [Only1].  [symm]
-    as in {!search_pair}. *)
+    The witness's [x1 = x2 = x] and all moves are [Only1].
+    [allow_drops] defaults to whether the channel deletes; [false]
+    searches the no-deletion subsystem. *)
 
 val eligible_pairs : xs:int list list -> (int list * int list) list
 (** The unordered pairs of distinct sequences in [xs] where neither is
@@ -300,43 +277,35 @@ val search :
   xs:int list list ->
   ?depth:int ->
   ?max_states:int ->
-  ?allow_drops:bool ->
   ?max_sends_per_sender:int ->
   ?max_sends_per_receiver:int ->
-  ?max_seconds:float ->
   ?jobs:int ->
   ?mem_budget_bytes:int ->
   ?stats:Stats.t ->
   ?symm:bool ->
-  ?swap_symm:bool ->
   unit ->
   (int list * int list * outcome) list * witness option
-(** Runs {!search_pair} on every pair in [eligible_pairs ~xs].
-    Returns all per-pair outcomes and the first witness found, if
-    any.  One {!Runstate} store per distinct input is shared across
-    all its pairs, so each single-run transition is simulated once
-    per input rather than once per pair.  [jobs] (default: [STP_JOBS]
-    or 1) fans the independent pair searches out over that many
-    domains via {!Par.map}; the stores are safely shared and the
-    outcomes and first witness are identical at every job count.
+(** The outcome of {!search_pair} on every pair in
+    [eligible_pairs ~xs], in that order, and the first witness, if any.
 
-    [symm] (default [false]), on a protocol declaring an
-    equivariance, searches one representative per orbit of eligible
-    pairs under joint first-occurrence canonicalisation and expands
-    the representative outcomes back over the full pair list in the
-    original order, relabelling witnesses through each member's
-    inverse permutation — the outcome list keeps exactly the
-    unquotiented sweep's shape while up to m! of the pair searches
-    are skipped.  Stores are then keyed by canonical inputs, which
-    collide (and so share) far more often than raw inputs.
-    [swap_symm] (default [true], meaningful only under [symm])
-    composes the run-swap symmetry into the quotient: both orderings
-    of a pair share one representative ({!canon_pair_swap}) and
-    members whose orientation lost the canonical race get mirrored
-    outcomes — sound because the joint system is run-exchange
-    symmetric (see DESIGN.md, "Out-of-core search").
-    [mem_budget_bytes] and [stats] are threaded to every pair search
-    as in {!search_pair}. *)
+    Each pair is tagged with a representative and a map back; each
+    representative is searched once, in order of first occurrence, and
+    its outcome mapped back to every pair it stands for.  Without
+    [symm] (the default) a pair is its own representative, mapped back
+    by the identity, so a pair listed twice (an input repeated in [xs])
+    is searched once.  With [symm], on a protocol declaring an
+    equivariance, the representative is the pair's canonical form
+    under data-alphabet permutations composed with the run swap
+    ({!canon_pair_swap}); the map back relabels a witness through the
+    member's inverse permutation and, when the swapped ordering won,
+    mirrors the runs (see DESIGN.md, "The symmetry quotient").
+
+    One {!Runstate} store per distinct searched input is shared by all
+    its searches, so each single-run transition is simulated once per
+    input.  [jobs] (default: [STP_JOBS] or 1) fans the searches out
+    over that many domains via {!Par.map}; the outcomes and first
+    witness are identical at every job count.  [mem_budget_bytes] and
+    [stats] are threaded to every search as in {!search_pair}. *)
 
 val run_moves : witness -> which:int -> Kernel.Move.t list
 (** Project the joint path onto one run's schedule ([which] ∈ {1,2}) —

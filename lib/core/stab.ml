@@ -101,10 +101,9 @@ type witness = {
 
 type outcome = No_violation of { closed : bool; states : int } | Violation of witness
 
-let search ?(depth = 200) ?(max_states = 200_000) ?(allow_drops = true)
-    ?(max_sends_per_sender = 16) ?(max_sends_per_receiver = 16) ?mem_budget_bytes ?stats
-    p ~input () =
-  let keep = Bfs.move_filter ~allow_drops ~max_sends_per_sender ~max_sends_per_receiver in
+let search ?(depth = 200) ?(max_states = 200_000) ?(max_sends_per_sender = 16)
+    ?(max_sends_per_receiver = 16) ?mem_budget_bytes ?stats p ~input () =
+  let keep = Bfs.move_filter ~allow_drops:true ~max_sends_per_sender ~max_sends_per_receiver in
   let starts =
     List.map
       (fun ((s, r) as start) ->

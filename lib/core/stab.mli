@@ -70,7 +70,6 @@ type outcome = No_violation of { closed : bool; states : int } | Violation of wi
 val search :
   ?depth:int ->
   ?max_states:int ->
-  ?allow_drops:bool ->
   ?max_sends_per_sender:int ->
   ?max_sends_per_receiver:int ->
   ?mem_budget_bytes:int ->
@@ -80,8 +79,9 @@ val search :
   unit ->
   outcome
 (** Exact BFS over the union of every corrupted root's reachable
-    single-run space (send caps bound it; moves the simulator rejects
-    are skipped), on the shared single-run table ({!Kernel.Bfs}, keyed
+    single-run space (send caps bound it; drops are searched wherever
+    the channel offers them; moves the simulator rejects are skipped),
+    on the shared single-run table ({!Kernel.Bfs}, keyed
     by run keys).  [No_violation {closed = true}]
     means no corrupted start can reach a safety violation under the
     caps — the exhaustive half of a stabilisation argument.

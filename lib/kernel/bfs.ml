@@ -73,8 +73,8 @@ let take t id =
 
 type outcome = Found of int | Exhausted of { closed : bool }
 
-let run t frontier ~roots ~depth ?(deadline = fun () -> false) ?(admitted = fun _ _ -> false)
-    ?(on_edge = fun _ _ _ -> ()) ~moves ~step () =
+let run t frontier ~roots ~depth ?(admitted = fun _ _ -> false) ?(on_edge = fun _ _ _ -> ())
+    ~moves ~step () =
   let found = ref (-1) and closed = ref true in
   (* Pushed before the stop test, so the frontier's peak is the same
      whether or not the search stops at this id. *)
@@ -93,27 +93,21 @@ let run t frontier ~roots ~depth ?(deadline = fun () -> false) ?(admitted = fun 
       end)
     roots;
   while !found < 0 && not (Stdx.Frontier.is_empty frontier) do
-    if deadline () then begin
-      closed := false;
-      Stdx.Frontier.clear frontier
-    end
-    else begin
-      let id = Stdx.Frontier.pop frontier in
-      let v = take t id in
-      if t.depths.(id) >= depth then closed := false
-      else
-        List.iter
-          (fun m ->
-            if !found < 0 then
-              match step id v m with
-              | None -> ()
-              | Some v' ->
-                  let id' = intern t v' in
-                  if not (mem t id') then
-                    if admit t id' v' ~parent:id ~move:m then enter id' v' else closed := false;
-                  on_edge id m id')
-          (moves id v)
-    end
+    let id = Stdx.Frontier.pop frontier in
+    let v = take t id in
+    if t.depths.(id) >= depth then closed := false
+    else
+      List.iter
+        (fun m ->
+          if !found < 0 then
+            match step id v m with
+            | None -> ()
+            | Some v' ->
+                let id' = intern t v' in
+                if not (mem t id') then
+                  if admit t id' v' ~parent:id ~move:m then enter id' v' else closed := false;
+                on_edge id m id')
+        (moves id v)
   done;
   if !found >= 0 then Found !found else Exhausted { closed = !closed }
 

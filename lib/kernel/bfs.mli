@@ -1,8 +1,8 @@
 (** The one BFS loop of the search engines: {!Core.Stab.search},
-    {!Core.Attack.search_single}, {!Core.Attack.search_pair}, the
-    forward pass of {!Core.Spec.recoverability} and {!Explore.reachable}
-    all run {!run} on a table of their own (the joint search reuses
-    one per domain, {!reset} between searches).  Each engine supplies
+    {!Core.Attack.search_single}, {!Core.Attack.search_pair} and the
+    forward pass of {!Core.Spec.recoverability} all run {!run} on a
+    table of their own (the joint search reuses one per domain,
+    {!reset} between searches).  Each engine supplies
     only its roots, key emitter, successor rule, stop rule and what it
     records.
 
@@ -24,9 +24,8 @@
       budget; a repeated root key is skipped;
     - every admitted state, roots included, is pushed, then passed to
       [admitted id v]; [true] stops the search at that id;
-    - at each pop, a spent [deadline] clears the frontier and ends the
-      search not closed; a state at [depth] is not expanded and the
-      search is not closed; otherwise [step id v m] runs for each [m]
+    - at each pop, a state at [depth] is not expanded and the search
+      is not closed; otherwise [step id v m] runs for each [m]
       of [moves id v], in order, and returns the successor, or [None]
       for a move that is filtered or rejected;
     - each successor is interned, then admitted one level deeper or,
@@ -54,23 +53,22 @@ val reset : ('a, 'm) t -> emit:(Stdx.Codec.t -> 'a -> unit) -> max_states:int ->
 type outcome =
   | Found of int  (** [admitted] returned [true] for this id *)
   | Exhausted of { closed : bool }
-      (** the frontier ran dry; [closed = false] when a depth cut, a
-          budget refusal or the deadline hid part of the space *)
+      (** the frontier ran dry; [closed = false] when a depth cut or a
+          budget refusal hid part of the space *)
 
 val run :
   ('a, 'm) t ->
   Stdx.Frontier.t ->
   roots:'a list ->
   depth:int ->
-  ?deadline:(unit -> bool) ->
   ?admitted:(int -> 'a -> bool) ->
   ?on_edge:(int -> 'm -> int -> unit) ->
   moves:(int -> 'a -> 'm list) ->
   step:(int -> 'a -> 'm -> 'a option) ->
   unit ->
   outcome
-(** The search loop, as the contract above says.  [deadline] defaults
-    to never, [admitted] to never stopping, [on_edge] to nothing. *)
+(** The search loop, as the contract above says.  [admitted] defaults
+    to never stopping, [on_edge] to nothing. *)
 
 val intern : ('a, 'm) t -> 'a -> int
 (** The id of the value's key; a new key is the next id. *)

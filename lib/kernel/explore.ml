@@ -1,43 +1,4 @@
-type stats = {
-  states : int;
-  transitions : int;
-  safety_violations : int;
-  complete_states : int;
-  truncated : bool;
-}
-
 let all_moves _g _m = true
-
-let reachable p ~input ~depth ?(move_filter = all_moves) ?(max_states = max_int) ?starts () =
-  let table = Bfs.create ~emit:Global.emit ~max_states () in
-  let roots = match starts with Some gs -> gs | None -> [ Global.initial p ~input ] in
-  let transitions = ref 0 in
-  let violations = ref 0 in
-  let completes = ref 0 in
-  (* The depth bound is applied here, not by [Bfs.run], so the run is
-     not closed only when the state budget refused a new state. *)
-  let outcome =
-    Bfs.run table (Stdx.Frontier.create ()) ~roots ~depth:max_int
-      ~admitted:(fun _ g ->
-        if not (Global.safety_ok g) then incr violations;
-        if Global.complete g then incr completes;
-        false)
-      ~moves:(fun id g -> if Bfs.depth table id < depth then Sim.enabled p g else [])
-      ~step:(fun _ g move ->
-        if move_filter g move then begin
-          incr transitions;
-          Some (Sim.apply p g move)
-        end
-        else None)
-      ()
-  in
-  {
-    states = Bfs.length table;
-    transitions = !transitions;
-    safety_violations = !violations;
-    complete_states = !completes;
-    truncated = outcome <> Bfs.Exhausted { closed = true };
-  }
 
 exception Enough
 

@@ -21,7 +21,7 @@ let add_action t = function
 
 let to_list t = List.rev t.rev
 
-let add_entry_code buf = function
+let encode_entry buf = function
   | Woke -> Buffer.add_string buf "w;"
   | Got m ->
       Buffer.add_char buf 'g';
@@ -38,7 +38,7 @@ let add_entry_code buf = function
 
 let encode t =
   let buf = Buffer.create (t.len * 3) in
-  List.iter (add_entry_code buf) (to_list t);
+  List.iter (encode_entry buf) (to_list t);
   Buffer.contents buf
 
 let equal a b = a.len = b.len && a.rev = b.rev

@@ -36,10 +36,12 @@ val to_list : t -> entry list
 (** Oldest first. *)
 
 val encode : t -> string
-(** Canonical encoding; equal strings iff equal histories.  Computed on
-    demand, in one pass over the entries: the knowledge layer, which
-    compares and hashes views through it, encodes each point's view
-    once. *)
+(** Canonical encoding; equal strings iff equal histories.  It is
+    {!encode_entry} over the entries, oldest first, so a history's
+    encoding is a prefix of any extension's. *)
+
+val encode_entry : Buffer.t -> entry -> unit
+(** Append one entry's encoding. *)
 
 val equal : t -> t -> bool
 

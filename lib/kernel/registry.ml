@@ -36,9 +36,22 @@ let protocol_names () = List.map (fun e -> e.p_name) !protocol_table
 
 let find_protocol name = List.find_opt (fun e -> e.p_name = name) !protocol_table
 
+(* The ranges every protocol may rely on, checked before any protocol
+   is built: an out-of-range field is an error for every protocol, not
+   an exception inside the one that divides by it. *)
+let check_config c =
+  match
+    List.find_opt
+      (fun (_, v, floor) -> v < floor)
+      [ ("domain", c.domain, 1); ("max_len", c.max_len, 1); ("header_space", c.header_space, 1);
+        ("drop_budget", c.drop_budget, 0); ("window", c.window, 1) ]
+  with
+  | Some (field, v, floor) -> Error (Printf.sprintf "%s must be at least %d (got %d)" field floor v)
+  | None -> Ok ()
+
 let build_protocol ~name config =
   match find_protocol name with
-  | Some e -> e.p_build config
+  | Some e -> Result.bind (check_config config) (fun () -> e.p_build config)
   | None -> Error (Printf.sprintf "unknown protocol %S" name)
 
 let channel_forms () = [ "perfect"; "fifo-lossy"; "dup"; "del"; "lag:K" ]

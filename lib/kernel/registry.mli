@@ -44,7 +44,10 @@ val protocol_names : unit -> string list
 val find_protocol : string -> protocol_entry option
 
 val build_protocol : name:string -> config -> (Protocol.t, string) result
-(** [Error] for unknown names as well as failing builders. *)
+(** [Error] for an unknown name, for a config field out of range
+    ([domain], [max_len], [header_space] and [window] at least 1,
+    [drop_budget] at least 0, whatever the protocol reads), and when
+    the protocol's own construction fails. *)
 
 (* ------------------------- channel kinds ------------------------- *)
 

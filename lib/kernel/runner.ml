@@ -14,10 +14,4 @@ let run p ~input ~strategy ~rng ~max_steps ?max_seconds ?(post_roll = 0) () =
   | [ r ] -> r
   | _ -> assert false
 
-let run_seeds p ~input ~strategy ~seeds ~max_steps ?max_seconds ?(post_roll = 0) () =
-  List.map
-    (fun seed ->
-      run p ~input ~strategy ~rng:(Stdx.Rng.create seed) ~max_steps ?max_seconds ~post_roll ())
-    seeds
-
 let pp_stop = Sched.pp_stop

@@ -35,18 +35,4 @@ val run :
     wall-clock guard ({!Stdx.Clock}) on top of the step budget
     (checked every 256 steps); exceeding either reports [Budget]. *)
 
-val run_seeds :
-  Protocol.t ->
-  input:int array ->
-  strategy:Strategy.t ->
-  seeds:int list ->
-  max_steps:int ->
-  ?max_seconds:float ->
-  ?post_roll:int ->
-  unit ->
-  result list
-(** One run per seed.  [max_seconds] bounds {e each} run's wall time,
-    exactly as on {!run} — a battery of [n] seeds may therefore use up
-    to [n * max_seconds] in total. *)
-
 val pp_stop : Format.formatter -> stop_reason -> unit

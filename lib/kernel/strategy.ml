@@ -218,11 +218,13 @@ let of_string s =
   | [ "dup-flood" ] -> Ok (dup_flood ())
   | [ "drop"; p ] -> (
       match float_of_string_opt p with
-      | Some p -> Ok (drop_rate p (fair_random ()))
+      | Some p when p >= 0.0 && p <= 1.0 -> Ok (drop_rate p (fair_random ()))
+      | Some _ -> Error "drop:P needs a probability in [0, 1]"
       | None -> Error "drop:P needs a float probability")
   | [ "drop-first"; n ] -> (
       match int_of_string_opt n with
-      | Some n -> Ok (drop_first n (fair_random ()))
+      | Some n when n >= 0 -> Ok (drop_first n (fair_random ()))
+      | Some _ -> Error "drop-first:N needs a count of at least 0"
       | None -> Error "drop-first:N needs an integer")
   | _ -> Error (Printf.sprintf "unknown strategy %S" s)
 

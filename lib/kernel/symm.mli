@@ -65,21 +65,6 @@ val apply_seq : perm -> int list -> int list
 val is_perm : perm -> bool
 (** Whether the array is a permutation of [\[0, length)]. *)
 
-(** Streaming first-occurrence relabeller — the canonicalisation
-    kernel, exposed for the micro-benchmarks and tests. *)
-module Relabel : sig
-  type t
-
-  val create : unit -> t
-
-  val map : t -> int -> int
-  (** Canonical label of [v]: a fresh next label on first sight, the
-      remembered one afterwards. *)
-
-  val assigned : t -> int
-  (** Distinct symbols seen so far. *)
-end
-
 val canon_seqs : m:int -> int list list -> int list list * perm
 (** Jointly canonicalise a list of sequences over the alphabet
     [\[0, m)] by first-occurrence order (scanning the sequences in
@@ -89,8 +74,6 @@ val canon_seqs : m:int -> int list list -> int list list * perm
     invariant under pre-permutation of the alphabet — the orbit-key
     property.
     @raise Invalid_argument if a symbol falls outside [\[0, m)]. *)
-
-val canon_seq : m:int -> int list -> int list * perm
 
 val canon_pair : m:int -> int list -> int list -> (int list * int list) * perm
 (** The pair-sweep orbit key: [canon_pair ~m x1 x2] scans [x1] then

@@ -157,6 +157,33 @@ let view entries n =
 let r_view t time = view t.r_entries t.r_view_len.(time)
 let s_view t time = view t.s_entries t.s_view_len.(time)
 
+(* A view at time t is a prefix of the final view, so its encoding is a
+   prefix of the final encoding, cut where its last entry ends: one
+   pass over the entries encodes every point's view. *)
+let view_keys t side ~suffix =
+  let entries, lens =
+    match side with
+    | `Sender -> (t.s_entries, t.s_view_len)
+    | `Receiver -> (t.r_entries, t.r_view_len)
+  in
+  let buf = Buffer.create 256 in
+  let ends = Array.make (Array.length entries + 1) 0 in
+  Array.iteri
+    (fun i code ->
+      Hist.encode_entry buf (entry code);
+      ends.(i + 1) <- Buffer.length buf)
+    entries;
+  List.iter (Hist.encode_entry buf) suffix;
+  let all = Buffer.contents buf and cut = ends.(Array.length entries) in
+  let tail = String.length all - cut in
+  Array.map
+    (fun len ->
+      let key = Bytes.create (ends.(len) + tail) in
+      Bytes.blit_string all 0 key 0 ends.(len);
+      Bytes.blit_string all cut key ends.(len) tail;
+      Bytes.unsafe_to_string key)
+    lens
+
 let output_length_at t time = t.out_len.(time)
 
 let output_at t time = Array.to_list (Array.sub t.outputs 0 t.out_len.(time))

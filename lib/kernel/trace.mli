@@ -50,6 +50,13 @@ val r_view : t -> int -> Hist.t
 
 val s_view : t -> int -> Hist.t
 
+val view_keys : t -> [ `Sender | `Receiver ] -> suffix:Hist.entry list -> string array
+(** [view_keys t side ~suffix] holds, for every [time] in
+    [0 .. length t], [Hist.encode] of [side]'s view at [time] with
+    [suffix] appended — built in one pass over the run's entries, so
+    keying every point of a trace costs the keys' bytes, not a rebuilt
+    view per point. *)
+
 val output_at : t -> int -> int list
 (** The output tape at a point. *)
 

@@ -11,37 +11,38 @@ type t = {
   s_classes : (string, point list) Hashtbl.t;
 }
 
-let index_views traces ~view =
+let index_views traces ~keys_of =
   let classes = Hashtbl.create 1024 in
   let keys =
     Array.mapi
       (fun run trace ->
-        Array.init
-          (Trace.length trace + 1)
-          (fun time ->
-            let key = Hist.encode (view trace time) in
+        let keys = keys_of trace in
+        Array.iteri
+          (fun time key ->
             let members = Option.value ~default:[] (Hashtbl.find_opt classes key) in
-            Hashtbl.replace classes key ({ run; time } :: members);
-            key))
+            Hashtbl.replace classes key ({ run; time } :: members))
+          keys;
+        keys)
       traces
   in
   (keys, classes)
 
 let of_traces trace_list =
   let traces = Array.of_list trace_list in
-  let view_keys, classes = index_views traces ~view:Trace.r_view in
+  let view_keys, classes =
+    index_views traces ~keys_of:(fun trace -> Trace.view_keys trace `Receiver ~suffix:[])
+  in
   (* The sender's complete history does not include the input tape it
      was constructed with, but its *behaviour* does; to honour the
      paper's local-state semantics (the sender's state contains X) the
-     sender view key also carries the input. *)
-  let s_view trace time =
-    (* Append the input as [Wrote] pseudo-entries: senders never write,
-       so the suffix is unambiguous and the keying exact. *)
-    Array.fold_left
-      (fun h d -> Hist.add h (Hist.Wrote d))
-      (Trace.s_view trace time) (Trace.input trace)
+     sender view key also carries the input, as [Wrote] pseudo-entries:
+     senders never write, so the suffix is unambiguous and the keying
+     exact. *)
+  let s_view_keys, s_classes =
+    index_views traces ~keys_of:(fun trace ->
+        Trace.view_keys trace `Sender
+          ~suffix:(List.map (fun d -> Hist.Wrote d) (Array.to_list (Trace.input trace))))
   in
-  let s_view_keys, s_classes = index_views traces ~view:s_view in
   { traces; view_keys; classes; s_view_keys; s_classes }
 
 let traces t = t.traces

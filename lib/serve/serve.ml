@@ -93,12 +93,21 @@ let job_of_json ~index j =
       Registry.build_protocol ~name:protocol_name
         { Registry.channel; domain; max_len; header_space; drop_budget; window }
     in
+    let* () =
+      match Array.find_opt (fun s -> s < 0 || s >= domain) input with
+      | Some s -> Error (Printf.sprintf "input symbol %d is outside [0, %d)" s domain)
+      | None -> Ok ()
+    in
     let* strategy_name = str_field j "strategy" ~default:"fair-random" in
     let* base = Kernel.Strategy.of_string strategy_name in
     let* seed = int_field j "seed" ~default:1 in
     let* max_steps = int_field j "max_steps" ~default:50_000 in
     let* post_roll = int_field j "post_roll" ~default:0 in
     let* max_seconds = float_opt_field j "max_seconds" in
+    let* () =
+      if Option.value max_seconds ~default:0.0 >= 0.0 then Ok ()
+      else Error "\"max_seconds\" must be at least 0"
+    in
     let* within = int_field j "within" ~default:64 in
     let* plan =
       match Json.member "plan" j with
@@ -335,7 +344,7 @@ let spool ?jobs ?timeslice ?(poll_seconds = 0.5) ?max_batches ?idle_exit ~dir ()
   else begin
     let telemetry = ref telemetry_zero in
     let batches = ref 0 in
-    let idle_since = ref (Unix.gettimeofday ()) in
+    let idle_since = ref (Stdx.Clock.now ()) in
     let stop = ref false in
     while not !stop do
       let next_batch =
@@ -350,11 +359,11 @@ let spool ?jobs ?timeslice ?(poll_seconds = 0.5) ?max_batches ?idle_exit ~dir ()
       match next_batch with
       | None -> (
           match idle_exit with
-          | Some s when Unix.gettimeofday () -. !idle_since >= s -> stop := true
+          | Some s when Stdx.Clock.now () -. !idle_since >= s -> stop := true
           | _ -> Unix.sleepf poll_seconds)
       | Some f -> (
           let path = Filename.concat dir f in
-          idle_since := Unix.gettimeofday ();
+          idle_since := Stdx.Clock.now ();
           match load_batch path with
           | Error e ->
               Format.printf "batch %s: REJECTED (%s)@." f e;
@@ -362,9 +371,9 @@ let spool ?jobs ?timeslice ?(poll_seconds = 0.5) ?max_batches ?idle_exit ~dir ()
               incr batches;
               (match max_batches with Some m when !batches >= m -> stop := true | _ -> ())
           | Ok batch ->
-              let t0 = Unix.gettimeofday () in
+              let t0 = Stdx.Clock.now () in
               let outcomes, stats = run_batch ?jobs ?timeslice batch in
-              telemetry := observe !telemetry stats ~wall_seconds:(Unix.gettimeofday () -. t0);
+              telemetry := observe !telemetry stats ~wall_seconds:(Stdx.Clock.now () -. t0);
               let results = results_report ~label:f outcomes in
               let out = Filename.chop_suffix path ".json" ^ ".report.json" in
               write_file out

@@ -49,8 +49,12 @@ type outcome = {
 val batch_of_json : Stdx.Json.t -> (job list, string) result
 (** Parse a batch: either [{"jobs": [...]}] or a bare list of job
     objects.  Strict: any malformed job fails the whole batch with an
-    error naming the job.  See README for the field-by-field schema;
-    everything except ["protocol"] and ["input"] has a default. *)
+    error naming the job — a wrongly typed field, an unknown name, and
+    a value out of range: a config field {!Kernel.Registry.build_protocol}
+    rejects, an input symbol outside [\[0, domain)], a [drop:P] outside
+    [\[0, 1\]], a negative ["max_seconds"].  See README for the
+    field-by-field schema; everything except ["protocol"] and
+    ["input"] has a default. *)
 
 val load_batch : string -> (job list, string) result
 (** Read and parse a batch file. *)
@@ -96,8 +100,8 @@ val spool :
   (telemetry, string) result
 (** Poll [dir] for batch files ([*.json], lexicographic order),
     execute each, write [<name>.report.json] beside it, and rename the
-    input to [<name>.json.done] ([.failed] on a parse error, which
-    does not stop the daemon).  Reports land atomically: the bytes go
+    input to [<name>.json.done] ([.failed] when {!load_batch} rejects
+    it, which does not stop the daemon).  Reports land atomically: the bytes go
     to a dotted [.<name>.report.json.tmp] first and are renamed into
     place, so a concurrent reader (or a crash mid-write) can never
     observe a truncated artifact.  Stops after [max_batches] batch files

@@ -1,4 +1,6 @@
-let now = Unix.gettimeofday
+(* The kernel's monotonic clock in nanoseconds, read by a [@@noalloc]
+   C stub: a host clock step cannot move it. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let never () = false
 

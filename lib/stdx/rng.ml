@@ -44,16 +44,6 @@ let pick t xs =
   | [] -> invalid_arg "Rng.pick: empty list"
   | _ -> List.nth xs (int t (List.length xs))
 
-let pick_weighted t choices =
-  let total = List.fold_left (fun acc (_, w) -> acc + w) 0 choices in
-  if total <= 0 then invalid_arg "Rng.pick_weighted: non-positive total weight";
-  let target = int t total in
-  let rec go acc = function
-    | [] -> invalid_arg "Rng.pick_weighted: unreachable"
-    | (x, w) :: rest -> if target < acc + w then x else go (acc + w) rest
-  in
-  go 0 choices
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -42,9 +42,5 @@ val pick : t -> 'a list -> 'a
 (** [pick t xs] is a uniformly random element of [xs].
     Requires [xs] non-empty. *)
 
-val pick_weighted : t -> ('a * int) list -> 'a
-(** [pick_weighted t choices] picks proportionally to the attached
-    non-negative integer weights.  Requires total weight positive. *)
-
 val shuffle : t -> 'a array -> unit
 (** [shuffle t a] permutes [a] in place, uniformly (Fisher–Yates). *)

@@ -231,6 +231,73 @@ let test_max_states_truncation () =
       check Alcotest.bool "respected budget" true (states_explored <= 50)
   | Attack.Witness _ -> Alcotest.fail "cannot witness within 50 states"
 
+(* A plain sweep is the quotient under the trivial group: each pair is
+   its own representative, mapped back by the identity.  So it must
+   return exactly what a search_pair call per eligible pair returns —
+   whole outcomes, witness paths included — over sweeps that end in
+   every way a search can.  An input listed twice lists its pairs twice,
+   each occurrence in its place. *)
+let test_sweep_is_per_pair_searches () =
+  let counting = Protocols.Counting.protocol_on Chan.Reorder_dup ~domain:2 in
+  let dup = Protocols.Norep.dup ~m:2 and del = Protocols.Norep.del ~m:2 in
+  let xs = [ [ 0; 0 ]; [ 0; 1 ]; [ 1; 0 ]; [ 1; 1 ] ] in
+  let sweeps =
+    [
+      (counting, [ [ 0; 1 ]; [ 1; 0 ]; [ 1 ]; [ 0 ] ], 64, 200_000, 6);
+      (dup, xs, 200, 3_000, 6);
+      (del, xs, 200, 3_000, 3);
+      (del, xs, 2, 3_000, 3);
+      (del, [ [ 0; 1 ]; [ 1; 0 ]; [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 1; 0 ] ], 200, 3_000, 3);
+    ]
+  in
+  let kinds = Hashtbl.create 4 in
+  List.iter
+    (fun (p, xs, depth, max_states, caps) ->
+      let outcomes, first =
+        Attack.search p ~xs ~depth ~max_states ~max_sends_per_sender:caps
+          ~max_sends_per_receiver:caps ()
+      in
+      let expected =
+        List.map
+          (fun (x1, x2) ->
+            ( x1,
+              x2,
+              Attack.search_pair p ~x1 ~x2 ~depth ~max_states ~max_sends_per_sender:caps
+                ~max_sends_per_receiver:caps () ))
+          (Attack.eligible_pairs ~xs)
+      in
+      check Alcotest.bool (p.Kernel.Protocol.name ^ ": outcome for outcome") true
+        (outcomes = expected);
+      check Alcotest.bool "the first witness" true
+        (first
+        = List.find_map (function _, _, Attack.Witness w -> Some w | _ -> None) expected);
+      List.iter
+        (fun (_, _, o) ->
+          Hashtbl.replace kinds
+            (match o with
+            | Attack.Witness { kind = Attack.Safety _; _ } -> "safety"
+            | Attack.Witness { kind = Attack.Starvation _; _ } -> "starvation"
+            | Attack.No_violation { closed = true; _ } -> "closed"
+            | Attack.No_violation { closed = false; _ } -> "truncated")
+            ())
+        outcomes)
+    sweeps;
+  check Alcotest.int "safety, starvation, closed and truncated outcomes all met" 4
+    (Hashtbl.length kinds);
+  let outcomes, _ =
+    Attack.search del ~xs:[ [ 0; 1 ]; [ 1; 0 ]; [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 1; 0 ] ] ~depth:200
+      ~max_sends_per_sender:3 ~max_sends_per_receiver:3 ()
+  in
+  check
+    Alcotest.(list (pair (list int) (list int)))
+    "every occurrence, in order"
+    [
+      ([ 0; 1 ], [ 1; 0 ]); ([ 0; 1 ], [ 1 ]); ([ 0; 1 ], [ 1; 0 ]);
+      ([ 1; 0 ], [ 0 ]); ([ 1; 0 ], [ 0; 1 ]); ([ 0 ], [ 1 ]);
+      ([ 0 ], [ 1; 0 ]); ([ 1 ], [ 0; 1 ]); ([ 0; 1 ], [ 1; 0 ]);
+    ]
+    (List.map (fun (a, b, _) -> (a, b)) outcomes)
+
 let test_stenning_full_headers_survive () =
   (* The escape hatch: per-instance finite but growing alphabet. *)
   let p = Protocols.Stenning.protocol_on Chan.Reorder_dup ~domain:2 ~max_len:2 in
@@ -546,6 +613,7 @@ let () =
         [
           Alcotest.test_case "depth truncation" `Quick test_depth_truncation_reported;
           Alcotest.test_case "state budget" `Quick test_max_states_truncation;
+          Alcotest.test_case "sweep = per-pair searches" `Quick test_sweep_is_per_pair_searches;
         ] );
       ( "verdict/harness/bounds",
         [

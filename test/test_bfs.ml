@@ -8,7 +8,6 @@ module Proc = Kernel.Proc
 module Move = Kernel.Move
 module Sim = Kernel.Sim
 module Protocol = Kernel.Protocol
-module Explore = Kernel.Explore
 module Registry = Kernel.Registry
 module Chan = Channel.Chan
 module Attack = Core.Attack
@@ -24,11 +23,11 @@ let check = Alcotest.check
 let tiny_moves _ _ = [ `Inc; `Dbl ]
 let tiny_step _ v = function `Inc -> Some ((v + 1) mod 6) | `Dbl -> Some (2 * v mod 6)
 
-let tiny_run ?(max_states = 100) ?(roots = [ 0 ]) ?(depth = max_int) ?deadline ?admitted
-    ?on_edge ?(moves = tiny_moves) ?(step = tiny_step) () =
+let tiny_run ?(max_states = 100) ?(roots = [ 0 ]) ?(depth = max_int) ?admitted ?on_edge
+    ?(moves = tiny_moves) ?(step = tiny_step) () =
   let t = Bfs.create ~emit:Stdx.Codec.add_varint ~max_states () in
   let outcome =
-    Bfs.run t (Stdx.Frontier.create ()) ~roots ~depth ?deadline ?admitted ?on_edge ~moves ~step ()
+    Bfs.run t (Stdx.Frontier.create ()) ~roots ~depth ?admitted ?on_edge ~moves ~step ()
   in
   (t, outcome)
 
@@ -92,15 +91,6 @@ let test_depth_cut () =
   let note, expanded = log () in
   ignore (tiny_run ~moves:(fun id v -> note id; tiny_moves id v) ());
   check Alcotest.(list int) "uncut, every id expanded once" [ 0; 1; 2; 3; 4; 5 ] (expanded ())
-
-let test_spent_deadline () =
-  let stepped = ref false in
-  let t, o =
-    tiny_run ~deadline:(fun () -> true) ~step:(fun id v m -> stepped := true; tiny_step id v m) ()
-  in
-  check outcome "a deadline is not closed" (Bfs.Exhausted { closed = false }) o;
-  check Alcotest.int "only the root" 1 (Bfs.length t);
-  check Alcotest.bool "nothing expanded" false !stepped
 
 let test_edges_to_seen_states () =
   let note, edges = log () in
@@ -198,12 +188,6 @@ let caps = 5
 let depth = 80
 let max_states = 50_000
 
-let explore p ~input ~allow_drops =
-  Explore.reachable p ~input:(Array.of_list input) ~depth ~max_states
-    ~move_filter:
-      (Bfs.move_filter ~allow_drops ~max_sends_per_sender:caps ~max_sends_per_receiver:caps)
-    ()
-
 (* The naive references' state key, built from the components
    [Global.emit] encodes: the two process fingerprints, the channels'
    printed forms and the output length.  It shares no codec or intern
@@ -229,21 +213,22 @@ let run_key (g : Global.t) =
 
 (* A naive reference: a stdlib Hashtbl keyed on [state_key] and a
    Queue of (state, depth), expanding every state below [depth] under
-   the engines' move filter.  [Explore.reachable] keys through
-   [Global.emit] and [Intern] like the engines; this one does not.
-   Returns the state count (or [None] past [max_states]) and whether
-   any state is unsafe. *)
+   the engines' move filter.  It shares no key, codec or intern code
+   with the engines.  Returns the state count and the count of complete
+   states, or [None] past [max_states], and whether any state is
+   unsafe. *)
 let reference_single p ~input ~allow_drops =
   let keep =
     Bfs.move_filter ~allow_drops ~max_sends_per_sender:caps ~max_sends_per_receiver:caps
   in
   let seen = Hashtbl.create 1024 and queue = Queue.create () in
-  let unsafe = ref false in
+  let unsafe = ref false and complete = ref 0 in
   let visit g d =
     let k = state_key g in
     if not (Hashtbl.mem seen k) then begin
       Hashtbl.add seen k ();
       if not (Global.safety_ok g) then unsafe := true;
+      if Global.complete g then incr complete;
       Queue.add (g, d) queue
     end
   in
@@ -253,52 +238,46 @@ let reference_single p ~input ~allow_drops =
     if d < depth then
       List.iter (fun m -> if keep g m then visit (Sim.apply p g m) (d + 1)) (Sim.enabled p g)
   done;
-  ((if Hashtbl.length seen <= max_states then Some (Hashtbl.length seen) else None), !unsafe)
+  ( (if Hashtbl.length seen <= max_states then Some (Hashtbl.length seen, !complete) else None),
+    !unsafe )
 
-(* A closed, clean single-run search and a closed recoverability pass
-   see exactly the states Explore.reachable and the naive reference
-   reach under the same filter; a violating search's witness replays
-   through the scheduler, and both explorations see a violation. *)
+(* Wherever the naive reference's exploration fits the budget, a
+   closed, clean single-run search and a closed recoverability pass see
+   exactly the states it reaches under the same filter, and the pass
+   counts its complete states; a violating search's witness replays
+   through the scheduler, and the reference sees a violation. *)
 let test_single_and_spec_match_explore () =
   let compared = ref 0 in
   List.iter
     (fun (name, input, p) ->
       let allow_drops = Chan.deletes p.Protocol.channel in
-      let e = explore p ~input ~allow_drops in
-      if not e.Explore.truncated then begin
-        let naive, naive_unsafe = reference_single p ~input ~allow_drops in
-        (match
-           Attack.search_single p ~x:input ~depth ~max_states ~max_sends_per_sender:caps
-             ~max_sends_per_receiver:caps ()
-         with
-        | Attack.No_violation { closed = true; states_explored } ->
+      match reference_single p ~input ~allow_drops with
+      | None, _ -> ()
+      | Some (naive, naive_complete), naive_unsafe ->
+          (match
+             Attack.search_single p ~x:input ~depth ~max_states ~max_sends_per_sender:caps
+               ~max_sends_per_receiver:caps ()
+           with
+          | Attack.No_violation { closed = true; states_explored } ->
+              incr compared;
+              check Alcotest.int (name ^ ": search_single states") naive states_explored;
+              check Alcotest.bool (name ^ ": naive reference sees no violation") false
+                naive_unsafe
+          | Attack.Witness w ->
+              check Alcotest.bool (name ^ ": naive reference sees the violation") true
+                naive_unsafe;
+              Replay.single_witness ~name p w
+          | Attack.No_violation { closed = false; _ } -> ());
+          let r =
+            Core.Spec.recoverability p ~input ~depth ~max_states ~max_sends_per_sender:caps
+              ~max_sends_per_receiver:caps ()
+          in
+          if r.Core.Spec.closed then begin
             incr compared;
-            check Alcotest.int (name ^ ": search_single states") e.Explore.states states_explored;
-            check Alcotest.(option int) (name ^ ": naive reference states") (Some states_explored)
-              naive;
-            check Alcotest.int (name ^ ": explore sees no violation") 0
-              e.Explore.safety_violations;
-            check Alcotest.bool (name ^ ": naive reference sees no violation") false naive_unsafe
-        | Attack.Witness w ->
-            check Alcotest.bool (name ^ ": explore sees the violation") true
-              (e.Explore.safety_violations > 0);
-            check Alcotest.bool (name ^ ": naive reference sees the violation") true naive_unsafe;
-            Replay.single_witness ~name p w
-        | Attack.No_violation { closed = false; _ } -> ());
-        let r =
-          Core.Spec.recoverability p ~input ~depth ~max_states ~max_sends_per_sender:caps
-            ~max_sends_per_receiver:caps ()
-        in
-        if r.Core.Spec.closed then begin
-          incr compared;
-          check Alcotest.int (name ^ ": recoverability states") e.Explore.states r.Core.Spec.states;
-          check Alcotest.(option int) (name ^ ": naive reference states") (Some r.Core.Spec.states)
-            naive;
-          check Alcotest.int (name ^ ": complete states") e.Explore.complete_states
-            r.Core.Spec.completed;
-          check Alcotest.int (name ^ ": nothing cut off") 0 r.Core.Spec.frontier
-        end
-      end)
+            check Alcotest.int (name ^ ": recoverability states") naive r.Core.Spec.states;
+            check Alcotest.int (name ^ ": complete states") naive_complete r.Core.Spec.completed;
+            check Alcotest.int (name ^ ": nothing cut off") 0 r.Core.Spec.frontier
+          end)
     (instances ());
   check Alcotest.bool "most instances compared" true (!compared >= 100)
 
@@ -552,7 +531,6 @@ let () =
           Alcotest.test_case "repeated root" `Quick test_repeated_root;
           Alcotest.test_case "budget refusal" `Quick test_budget_refusal;
           Alcotest.test_case "depth cut" `Quick test_depth_cut;
-          Alcotest.test_case "spent deadline" `Quick test_spent_deadline;
           Alcotest.test_case "edges to seen states" `Quick test_edges_to_seen_states;
           Alcotest.test_case "stop" `Quick test_stop;
           Alcotest.test_case "reset" `Quick test_reset;

@@ -359,36 +359,29 @@ let test_stab_battery_jobs_invariant () =
 (* ------------------------- resource guards ------------------------- *)
 
 let test_explore_state_budget () =
+  (* The single-run search under a state budget: a refused new state
+     truncates it, and only a new state is ever refused, so a closed
+     space of exactly [max_states] states is not truncated. *)
   let p = Protocols.Abp.protocol ~domain:2 in
-  let full = Kernel.Explore.reachable p ~input:[| 0; 1 |] ~depth:10 () in
-  let capped = Kernel.Explore.reachable p ~input:[| 0; 1 |] ~depth:10 ~max_states:5 () in
-  check Alcotest.bool "full not truncated" false full.Kernel.Explore.truncated;
-  check Alcotest.bool "capped truncated" true capped.Kernel.Explore.truncated;
-  check Alcotest.bool "budget respected" true (capped.Kernel.Explore.states <= 5);
-  (* Only a new state is ever refused, so a closed space of exactly
-     [max_states] states is not truncated. *)
-  let keep =
-    Kernel.Bfs.move_filter ~allow_drops:true ~max_sends_per_sender:3 ~max_sends_per_receiver:3
-  in
   let explore max_states =
-    Kernel.Explore.reachable p ~input:[| 0; 1 |] ~depth:200 ~move_filter:keep ~max_states ()
+    match
+      Core.Attack.search_single p ~x:[ 0; 1 ] ~depth:200 ~max_states ~max_sends_per_sender:3
+        ~max_sends_per_receiver:3 ()
+    with
+    | Core.Attack.No_violation { closed; states_explored } -> (closed, states_explored)
+    | Core.Attack.Witness _ -> Alcotest.fail "abp over fifo-lossy has no violation"
   in
-  let fit = explore 60 in
-  check Alcotest.int "exact fit: all states" 60 fit.Kernel.Explore.states;
-  check Alcotest.bool "exact fit not truncated" false fit.Kernel.Explore.truncated;
-  check Alcotest.bool "one short truncated" true (explore 59).Kernel.Explore.truncated;
+  check Alcotest.(pair bool int) "full not truncated" (true, 60) (explore 200_000);
+  let closed, states = explore 5 in
+  check Alcotest.bool "capped truncated" false closed;
+  check Alcotest.bool "budget respected" true (states <= 5);
+  check Alcotest.(pair bool int) "exact fit: all states, not truncated" (true, 60) (explore 60);
+  check Alcotest.bool "one short truncated" false (fst (explore 59));
   let r =
     Core.Spec.recoverability p ~input:[ 0; 1 ] ~depth:200 ~max_states:60 ~max_sends_per_sender:3
       ~max_sends_per_receiver:3 ~allow_drops:true ()
   in
   check Alcotest.bool "recoverability agrees" true r.Core.Spec.closed
-
-let test_attack_wall_budget () =
-  let p = Protocols.Counting.protocol_on Chan.Reorder_dup ~domain:2 in
-  match Core.Attack.search_pair p ~x1:[ 0; 1 ] ~x2:[ 1; 0 ] ~max_seconds:0.0 () with
-  | Core.Attack.No_violation { closed; _ } ->
-      check Alcotest.bool "truncated, not closed" false closed
-  | Core.Attack.Witness _ -> Alcotest.fail "deadline 0 must truncate before searching"
 
 let test_runner_wall_budget () =
   (* A starved run never completes, so only the clock can stop it
@@ -535,7 +528,6 @@ let () =
       ( "guards",
         [
           Alcotest.test_case "explore state budget" `Quick test_explore_state_budget;
-          Alcotest.test_case "attack wall budget" `Quick test_attack_wall_budget;
           Alcotest.test_case "runner wall budget" `Quick test_runner_wall_budget;
         ] );
       ( "recovery",

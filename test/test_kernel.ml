@@ -361,7 +361,12 @@ let test_strategy_of_string_errors () =
   check Alcotest.string "bad drop probability" "drop:P needs a float probability"
     (err "drop:lots");
   check Alcotest.string "bad drop-first count" "drop-first:N needs an integer"
-    (err "drop-first:x")
+    (err "drop-first:x");
+  List.iter
+    (fun p -> check Alcotest.string p "drop:P needs a probability in [0, 1]" (err p))
+    [ "drop:nan"; "drop:2.5"; "drop:-0.1" ];
+  check Alcotest.string "negative drop-first count" "drop-first:N needs a count of at least 0"
+    (err "drop-first:-1")
 
 let prop_fair_random_picks_enabled =
   QCheck.Test.make ~name:"fair_random picks an enabled move" QCheck.small_int (fun seed ->
@@ -406,13 +411,6 @@ let test_trace_view_prefix_property () =
   done
 
 (* ------------------------- Explore ------------------------- *)
-
-let test_explore_reachable_tiny () =
-  let p = tiny Chan.Perfect in
-  let stats = Explore.reachable p ~input:[| 1 |] ~depth:10 () in
-  check Alcotest.bool "some states" true (stats.Explore.states > 1);
-  check Alcotest.int "no violations" 0 stats.Explore.safety_violations;
-  check Alcotest.bool "completion reachable" true (stats.Explore.complete_states > 0)
 
 let test_explore_iter_runs_counts () =
   let p = tiny Chan.Perfect in
@@ -679,6 +677,13 @@ let test_history_oracle () =
           in
           let trace = r.Runner.trace in
           let s_ref, r_ref, out_ref = reference_points p trace in
+          (* The one-pass view keys, the sender's with the input suffix
+             the knowledge layer keys it by. *)
+          let suffix = List.map (fun d -> Hist.Wrote d) (Array.to_list input) in
+          let r_keys = Trace.view_keys trace `Receiver ~suffix:[] in
+          let s_keys = Trace.view_keys trace `Sender ~suffix in
+          check Alcotest.int "a key per point" (Trace.length trace + 1) (Array.length r_keys);
+          check Alcotest.int "a sender key per point" (Trace.length trace + 1) (Array.length s_keys);
           Array.iter
             (function
               | Move.Restart_sender | Move.Restart_receiver -> incr restarts
@@ -692,6 +697,9 @@ let test_history_oracle () =
             in
             if not (Hist.equal (Trace.s_view trace t) s_ref.(t)) then fail "s_view";
             if not (Hist.equal (Trace.r_view trace t) r_ref.(t)) then fail "r_view";
+            if r_keys.(t) <> Hist.encode r_ref.(t) then fail "receiver view key";
+            if s_keys.(t) <> Hist.encode (List.fold_left Hist.add s_ref.(t) suffix) then
+              fail "sender view key";
             if Trace.output_at trace t <> out_ref.(t) then fail "output_at";
             if Trace.output_length_at trace t <> List.length out_ref.(t) then
               fail "output_length_at"
@@ -716,6 +724,15 @@ module Reference_strategy = struct
 
   let is_drop = function Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> true | _ -> false
 
+  (* A choice proportional to the positive integer weights. *)
+  let pick_weighted rng choices =
+    let target = Stdx.Rng.int rng (List.fold_left (fun acc (_, w) -> acc + w) 0 choices) in
+    let rec go acc = function
+      | [] -> assert false
+      | (x, w) :: rest -> if target < acc + w then x else go (acc + w) rest
+    in
+    go 0 choices
+
   let fair_random ?(deliver_weight = 4) ?(wake_weight = 2) ?(drop_weight = 0) () rng enabled =
     let weight m =
       if is_wake m then wake_weight else if is_delivery m then deliver_weight else drop_weight
@@ -723,7 +740,7 @@ module Reference_strategy = struct
     let weighted =
       List.filter_map (fun m -> let w = weight m in if w > 0 then Some (m, w) else None) enabled
     in
-    match weighted with [] -> None | _ -> Some (Stdx.Rng.pick_weighted rng weighted)
+    match weighted with [] -> None | _ -> Some (pick_weighted rng weighted)
 
   let rotating_delivery_to p ~time enabled =
     let candidates =
@@ -866,7 +883,6 @@ let () =
         ] );
       ( "explore",
         [
-          Alcotest.test_case "reachable" `Quick test_explore_reachable_tiny;
           Alcotest.test_case "iter_runs" `Quick test_explore_iter_runs_counts;
           Alcotest.test_case "max_runs cap" `Quick test_explore_max_runs;
           Alcotest.test_case "no_drops filter" `Quick test_explore_no_drops_filter;

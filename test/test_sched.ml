@@ -138,16 +138,19 @@ let test_stats_merge () =
   check Alcotest.bool "peak_live is max of shards" true
     (merged.Sched.peak_live <= whole.Sched.peak_live)
 
-let test_run_seeds_max_seconds () =
-  (* The per-run CPU budget threads through run_seeds.  An already
+let test_sessions_max_seconds () =
+  (* Each session of a batch carries its own wall budget.  An already
      expired deadline (negative budget — zero would race the clock's
      granularity against the strict > in the guard) stops every run
      before its first step. *)
   let p = Protocols.Abp.protocol ~domain:2 in
   let results =
-    Runner.run_seeds p ~input:[| 0; 1 |]
-      ~strategy:(Strategy.fair_random ())
-      ~seeds:[ 1; 2; 3 ] ~max_steps:3_000 ~max_seconds:(-1.0) ()
+    Sched.run
+      (List.map
+         (fun seed ->
+           Sched.session p ~input:[| 0; 1 |] ~strategy:(Strategy.fair_random ())
+             ~rng:(Stdx.Rng.create seed) ~max_steps:3_000 ~max_seconds:(-1.0) ())
+         [ 1; 2; 3 ])
   in
   check Alcotest.int "three runs" 3 (List.length results);
   List.iteri
@@ -196,8 +199,8 @@ let () =
         ] );
       ( "budgets",
         [
-          Alcotest.test_case "run_seeds threads max_seconds" `Quick
-            test_run_seeds_max_seconds;
+          Alcotest.test_case "sessions thread max_seconds" `Quick
+            test_sessions_max_seconds;
         ] );
       ( "sharding",
         [ Alcotest.test_case "shard partitions" `Quick test_shard_partition ] );

@@ -1,12 +1,11 @@
 (* Tests for the self-stabilisation layer: the perturb seam and its
-   validation, corrupt moves through the simulator, multi-root
-   exploration, and the Core.Stab sweep/search pair. *)
+   validation, corrupt moves through the simulator, and the Core.Stab
+   sweep/search pair. *)
 
 module Protocol = Kernel.Protocol
 module Global = Kernel.Global
 module Move = Kernel.Move
 module Sim = Kernel.Sim
-module Explore = Kernel.Explore
 module Stab = Core.Stab
 module Runstate = Core.Attack.Runstate
 
@@ -94,24 +93,6 @@ let test_runstate_rejects_corrupt_transitions () =
     (match Runstate.apply rs 0 (Move.Corrupt_sender 1) with
     | exception Invalid_argument _ -> true
     | _ -> false)
-
-(* ------------------------- multi-root explore ------------------------- *)
-
-let test_explore_multi_root () =
-  let p = stab_p () in
-  let input = [| 0; 1 |] in
-  let single = Explore.reachable p ~input ~depth:8 () in
-  let starts =
-    List.map
-      (fun (s, r) -> Global.initial ~sender:s.Protocol.proc ~receiver:r.Protocol.proc p ~input)
-      (Stab.space p ~input)
-  in
-  let multi = Explore.reachable p ~input ~depth:8 ~starts () in
-  check Alcotest.bool "union space at least as large" true
-    (multi.Explore.states >= single.Explore.states);
-  (* Duplicate roots dedup down to the single-root space. *)
-  let dup = Explore.reachable p ~input ~depth:8 ~starts:[ Global.initial p ~input; Global.initial p ~input ] () in
-  check Alcotest.int "duplicate roots dedup" single.Explore.states dup.Explore.states
 
 (* ------------------------- sweep ------------------------- *)
 
@@ -468,8 +449,6 @@ let () =
           Alcotest.test_case "never enabled" `Quick test_corrupt_never_enabled;
           Alcotest.test_case "runstate rejects" `Quick test_runstate_rejects_corrupt_transitions;
         ] );
-      ( "explore",
-        [ Alcotest.test_case "multi-root union" `Quick test_explore_multi_root ] );
       ( "sweep",
         [
           Alcotest.test_case "stabilises with pinned worst tts" `Quick test_sweep_stabilises;

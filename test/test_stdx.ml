@@ -83,14 +83,6 @@ let test_rng_float_range () =
     if f < 0.0 || f >= 1.0 then Alcotest.failf "float out of range: %f" f
   done
 
-let test_rng_pick_weighted () =
-  let rng = Rng.create 9 in
-  (* Zero-weight choices must never be picked. *)
-  for _ = 1 to 200 do
-    check Alcotest.string "never zero-weight" "a"
-      (Rng.pick_weighted rng [ ("a", 5); ("b", 0) ])
-  done
-
 let prop_rng_shuffle_permutes =
   QCheck.Test.make ~name:"Rng.shuffle is a permutation"
     QCheck.(pair small_int (list small_int))
@@ -1071,7 +1063,6 @@ let () =
           Alcotest.test_case "split pure in parent" `Quick test_rng_split_pure;
           Alcotest.test_case "bool both values" `Quick test_rng_bool_both_values;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
-          Alcotest.test_case "pick_weighted zero weight" `Quick test_rng_pick_weighted;
           qtest prop_rng_split_prefixes_disjoint;
           qtest prop_rng_int_range;
           qtest prop_rng_shuffle_permutes;
