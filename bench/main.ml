@@ -82,18 +82,9 @@ let e5_workload () =
 
 let e6_universe =
   lazy
-    (let p = Protocols.Norep.dup ~m:2 in
-     Knowledge.Universe.of_traces
-       (List.concat_map
-          (fun input ->
-            List.map
-              (fun seed ->
-                (Kernel.Runner.run p ~input:(Array.of_list input)
-                   ~strategy:(Kernel.Strategy.fair_random ()) ~rng:(Stdx.Rng.create seed)
-                   ~max_steps:600 ~post_roll:20 ())
-                  .Kernel.Runner.trace)
-              [ 1; 2; 3 ])
-          (Seqspace.Norep.enumerate ~m:2)))
+    (Knowledge.Universe.sample (Protocols.Norep.dup ~m:2) ~xs:(Seqspace.Norep.enumerate ~m:2)
+       ~strategies:[ Kernel.Strategy.fair_random () ]
+       ~seeds:3 ~max_steps:600 ~post_roll:20)
 
 let e6_workload () =
   let u = Lazy.force e6_universe in

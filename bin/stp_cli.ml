@@ -35,6 +35,8 @@ module Strategy = Kernel.Strategy
 
 (* ---------------- shared argument parsing ---------------- *)
 
+let ( let* ) r f = match r with Ok v -> f v | Error e -> `Error (false, e)
+
 let input_conv =
   let parse s =
     if String.trim s = "" then Ok []
@@ -60,17 +62,11 @@ let channel_conv =
   let print ppf k = Format.pp_print_string ppf (Chan.to_string k) in
   Arg.conv (parse, print)
 
-let protocol_arg =
+let protocol_arg ?(default = "norep") ?(doc = "Protocol to run (any name in the registry).") () =
   Arg.(
     value
-    & opt (enum (List.map (fun n -> (n, n)) (Registry.protocol_names ()))) "norep"
-    & info [ "p"; "protocol" ] ~doc:"Protocol to run (any name in the registry).")
-
-let channel_arg =
-  Arg.(value & opt channel_conv Chan.Reorder_dup & info [ "c"; "channel" ] ~doc:"Channel kind.")
-
-let domain_arg =
-  Arg.(value & opt int 3 & info [ "d"; "domain" ] ~doc:"Data domain size |D| (also m for norep).")
+    & opt (enum (List.map (fun n -> (n, n)) (Registry.protocol_names ()))) default
+    & info [ "p"; "protocol" ] ~doc)
 
 let max_len_arg = Arg.(value & opt int 4 & info [ "max-len" ] ~doc:"Maximum input length.")
 
@@ -85,12 +81,22 @@ let window_arg =
     value & opt int 2
     & info [ "window" ] ~doc:"Pipelining window for go-back-n / selective-repeat.")
 
-let config_term =
+(* The attack surface defaults to reorder+dup at d=3; [stab] passes its
+   own defaults. *)
+let config_term ?(channel = Chan.Reorder_dup) ?(domain = 3) () =
   let make channel domain max_len header_space drop_budget window =
     { Registry.channel; domain; max_len; header_space; drop_budget; window }
   in
+  let channel =
+    Arg.(value & opt channel_conv channel & info [ "c"; "channel" ] ~doc:"Channel kind.")
+  in
+  let domain =
+    Arg.(
+      value & opt int domain
+      & info [ "d"; "domain" ] ~doc:"Data domain size |D| (also m for norep).")
+  in
   Term.(
-    const make $ channel_arg $ domain_arg $ max_len_arg $ header_space_arg $ drop_budget_arg
+    const make $ channel $ domain $ max_len_arg $ header_space_arg $ drop_budget_arg
     $ window_arg)
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.")
@@ -107,12 +113,23 @@ let jobs_arg =
 let max_steps_arg = Arg.(value & opt int 50_000 & info [ "max-steps" ] ~doc:"Step budget.")
 
 let strategy_arg =
-  Arg.(value & opt string "fair-random"
-       & info [ "s"; "strategy" ]
-           ~doc:"Schedule: fair-random, round-robin, newest-first, dup-flood, drop:P (e.g. \
-                 drop:0.2 over fair-random), drop-first:N.")
+  Arg.(
+    value & opt string "fair-random"
+    & info [ "s"; "strategy" ]
+        ~doc:
+          (Printf.sprintf "Schedule: %s (drop:P drops with probability P over fair-random)."
+             (String.concat ", " Strategy.forms)))
 
-let build_strategy = Strategy.of_string
+(* {!Registry.check_input} over several inputs: the message names the
+   input it refuses. *)
+let check_inputs config p xs =
+  List.fold_left
+    (fun acc x ->
+      Result.bind acc (fun () ->
+          Result.map_error
+            (Printf.sprintf "input %s: %s" (Seqspace.Xset.sequence_text x))
+            (Registry.check_input config p (Array.of_list x))))
+    (Ok ()) xs
 
 (* ---------------- report output ---------------- *)
 
@@ -129,17 +146,27 @@ let format_arg =
     & opt (enum [ ("text", `Text); ("json", `Json); ("csv", `Csv) ]) `Text
     & info [ "format" ] ~doc:"Stdout format: $(b,text), $(b,json), or $(b,csv).")
 
-let write_artifact path json =
-  try
-    Out_channel.with_open_bin path (fun oc ->
-        Out_channel.output_string oc (Stdx.Json.to_string json);
-        Out_channel.output_char oc '\n');
-    Ok ()
-  with Sys_error e -> Error (Printf.sprintf "cannot write artifact: %s" e)
-
-let maybe_json report = function
+(* The --json artifact, when a path is given. *)
+let write_json path json =
+  match path with
   | None -> Ok ()
-  | Some path -> write_artifact path (Report.to_json report)
+  | Some path -> (
+      try
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc (Stdx.Json.to_string json);
+            Out_channel.output_char oc '\n');
+        Ok ()
+      with Sys_error e -> Error (Printf.sprintf "cannot write artifact: %s" e))
+
+(* Stdout in the --format: [text] per report (default: its text
+   rendering), the [json] value, or each report's CSV. *)
+let print_reports ?(text = fun r -> print_string (Report.to_text r)) format json reports =
+  match format with
+  | `Text -> List.iter text reports
+  | `Json ->
+      print_string (Stdx.Json.to_string json);
+      print_newline ()
+  | `Csv -> List.iter (fun r -> print_string (Report.to_csv r)) reports
 
 (* ---------------- alpha ---------------- *)
 
@@ -155,19 +182,14 @@ let alpha_report m_max =
 
 let alpha_run m_max format json =
   let r = alpha_report m_max in
-  match maybe_json r json with
-  | Error e -> `Error (false, e)
-  | Ok () ->
-      (match format with
-      | `Text ->
-          (* The table text, then a blank line, as it has always printed. *)
-          print_string (Report.to_text_body r);
-          print_newline ()
-      | `Json ->
-          print_string (Stdx.Json.to_string (Report.to_json r));
-          print_newline ()
-      | `Csv -> print_string (Report.to_csv r));
-      `Ok ()
+  let* () = write_json json (Report.to_json r) in
+  (* The table text, then a blank line, as it has always printed. *)
+  print_reports
+    ~text:(fun r ->
+      print_string (Report.to_text_body r);
+      print_newline ())
+    format (Report.to_json r) [ r ];
+  `Ok ()
 
 let alpha_cmd =
   let m_max = Arg.(value & opt int 20 & info [ "m" ] ~doc:"Largest m to tabulate.") in
@@ -178,12 +200,12 @@ let alpha_cmd =
 (* ---------------- simulate ---------------- *)
 
 let simulate_run protocol config input strategy seed max_steps verbose json =
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> `Error (false, e) in
   let* p = Registry.build_protocol ~name:protocol config in
-  let* strat = build_strategy strategy in
+  let* () = Registry.check_input config p (Array.of_list input) in
+  let* strategy = Strategy.of_string strategy in
   let result =
-    Kernel.Runner.run p ~input:(Array.of_list input) ~strategy:strat
-      ~rng:(Stdx.Rng.create seed) ~max_steps ()
+    Kernel.Runner.run p ~input:(Array.of_list input) ~strategy ~rng:(Stdx.Rng.create seed)
+      ~max_steps ()
   in
   let trace = result.Kernel.Runner.trace in
   Format.printf "%a@." Kernel.Trace.pp_summary trace;
@@ -193,7 +215,7 @@ let simulate_run protocol config input strategy seed max_steps verbose json =
   if verbose then Format.printf "%s" (Kernel.Render.chart trace);
   let v = Core.Verdict.of_result result in
   Format.printf "verdict: %a@." Core.Verdict.pp v;
-  let* () = maybe_json (Core.Verdict.to_report v) json in
+  let* () = write_json json (Report.to_json (Core.Verdict.to_report v)) in
   if Core.Verdict.all_good v then `Ok () else `Error (false, "run was not safe and complete")
 
 let simulate_cmd =
@@ -205,14 +227,18 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run one protocol instance and report safety/liveness.")
     Term.(
       ret
-        (const simulate_run $ protocol_arg $ config_term $ input $ strategy_arg $ seed_arg
+        (const simulate_run $ protocol_arg () $ config_term () $ input $ strategy_arg $ seed_arg
        $ max_steps_arg $ verbose $ json_arg))
 
 (* ---------------- attack ---------------- *)
 
 let attack_run protocol config x1 x2 xs depth single symm mem_budget jobs json =
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> `Error (false, e) in
   let* p = Registry.build_protocol ~name:protocol config in
+  let* () =
+    if xs <> [] then check_inputs config p xs
+    else if single then Registry.check_input config p (Array.of_list x1)
+    else check_inputs config p [ x1; x2 ]
+  in
   (* Resource counters ride along only when --mem-budget is given: the
      report block they add is budget-invariant (spilled and resident
      runs at different budgets write byte-identical artifacts), but
@@ -246,45 +272,42 @@ let attack_run protocol config x1 x2 xs depth single symm mem_budget jobs json =
           (if closed then "closed" else "truncated")
           states_explored
   in
-  if xs <> [] then begin
-    (* Sweep mode: every eligible pair from the repeated --x inputs,
-       fanned out over --jobs domains. *)
-    let outcomes, witness =
-      Core.Attack.search p ~xs ~depth ~jobs ~symm ?mem_budget_bytes:mem_budget ?stats ()
-    in
-    List.iter
-      (fun (a, b, o) ->
-        Format.printf "%a vs %a: %s@." Seqspace.Xset.pp_sequence a Seqspace.Xset.pp_sequence b
-          (describe o))
-      outcomes;
-    (match witness with
-    | Some w -> Format.printf "%a@." Core.Attack.pp_witness w
-    | None -> Format.printf "no witness over %d pairs@." (List.length outcomes));
-    print_spill_summary ();
-    let* () = maybe_json (Core.Attack.search_report ?stats outcomes witness) json in
-    `Ok ()
-  end
-  else begin
-    let outcome =
-      if single then
-        Core.Attack.search_single p ~x:x1 ~depth ?mem_budget_bytes:mem_budget ?stats ()
-      else Core.Attack.search_pair p ~x1 ~x2 ~depth ?mem_budget_bytes:mem_budget ?stats ()
-    in
-    (match outcome with
-    | Core.Attack.Witness w -> Format.printf "%a@." Core.Attack.pp_witness w
-    | Core.Attack.No_violation { closed; states_explored } ->
-        Format.printf "no violation found (%s, %d joint states)@."
-          (if closed then "state space closed — adversary provably cannot win within the move \
-                           bounds" else "search truncated")
-          states_explored);
-    print_spill_summary ();
-    let* () =
-      maybe_json
-        (Core.Attack.outcome_report ~x1 ~x2:(if single then x1 else x2) ?stats outcome)
-        json
-    in
-    `Ok ()
-  end
+  let report =
+    if xs <> [] then begin
+      (* Sweep mode: every eligible pair from the repeated --x inputs,
+         fanned out over --jobs domains. *)
+      let outcomes, witness =
+        Core.Attack.search p ~xs ~depth ~jobs ~symm ?mem_budget_bytes:mem_budget ?stats ()
+      in
+      List.iter
+        (fun (a, b, o) ->
+          Format.printf "%a vs %a: %s@." Seqspace.Xset.pp_sequence a Seqspace.Xset.pp_sequence b
+            (describe o))
+        outcomes;
+      (match witness with
+      | Some w -> Format.printf "%a@." Core.Attack.pp_witness w
+      | None -> Format.printf "no witness over %d pairs@." (List.length outcomes));
+      Core.Attack.search_report ?stats outcomes witness
+    end
+    else begin
+      let outcome =
+        if single then
+          Core.Attack.search_single p ~x:x1 ~depth ?mem_budget_bytes:mem_budget ?stats ()
+        else Core.Attack.search_pair p ~x1 ~x2 ~depth ?mem_budget_bytes:mem_budget ?stats ()
+      in
+      (match outcome with
+      | Core.Attack.Witness w -> Format.printf "%a@." Core.Attack.pp_witness w
+      | Core.Attack.No_violation { closed; states_explored } ->
+          Format.printf "no violation found (%s, %d joint states)@."
+            (if closed then "state space closed — adversary provably cannot win within the move \
+                             bounds" else "search truncated")
+            states_explored);
+      Core.Attack.outcome_report ~x1 ~x2:(if single then x1 else x2) ?stats outcome
+    end
+  in
+  print_spill_summary ();
+  let* () = write_json json (Report.to_json report) in
+  `Ok ()
 
 let attack_cmd =
   let x1 =
@@ -334,7 +357,7 @@ let attack_cmd =
        ~doc:"Search for an impossibility witness (the Theorem 1/2 construction, executable).")
     Term.(
       ret
-        (const attack_run $ protocol_arg $ config_term $ x1 $ x2 $ xs $ depth $ single
+        (const attack_run $ protocol_arg () $ config_term () $ x1 $ x2 $ xs $ depth $ single
        $ symm $ mem_budget $ jobs_arg $ json_arg))
 
 (* ---------------- knowledge ---------------- *)
@@ -345,61 +368,50 @@ let knowledge_run m seeds input json =
   if not (List.mem input xs) then
     `Error (false, "input must be a repetition-free sequence over 0..m-1")
   else begin
-    let p = Protocols.Norep.dup ~m in
-    let traces =
-      List.concat_map
-        (fun x ->
-          List.map
-            (fun seed ->
-              (Kernel.Runner.run p ~input:(Array.of_list x)
-                 ~strategy:(Strategy.fair_random ()) ~rng:(Stdx.Rng.create seed)
-                 ~max_steps:2_000 ~post_roll:30 ())
-                .Kernel.Runner.trace)
-            (List.init seeds (fun i -> i + 1)))
-        xs
+    let u =
+      Knowledge.Universe.sample (Protocols.Norep.dup ~m) ~xs
+        ~strategies:[ Strategy.fair_random () ] ~seeds ~max_steps:2_000 ~post_roll:30
     in
-    let u = Knowledge.Universe.of_traces traces in
-    let tarr = Knowledge.Universe.traces u in
-    Format.printf "universe: %d traces, %d points, %d receiver-view classes@."
-      (Array.length tarr) (Knowledge.Universe.n_points u) (Knowledge.Universe.n_classes u);
+    let traces = Array.length (Knowledge.Universe.traces u) in
+    Format.printf "universe: %d traces, %d points, %d receiver-view classes@." traces
+      (Knowledge.Universe.n_points u) (Knowledge.Universe.n_classes u);
     let table =
       Report.table ~title:"learning vs write times"
         [ ("run", Report.Right); ("t_i", Report.Left); ("writes", Report.Left) ]
     in
-    Array.iteri
-      (fun run trace ->
-        if Array.to_list (Kernel.Trace.input trace) = input && run < List.length xs * seeds then begin
-          let lt = Knowledge.Learn.learning_times u ~run in
-          let wt = Knowledge.Learn.write_times u ~run in
-          let cell = function Some t -> string_of_int t | None -> "?" in
-          let times a = String.concat "; " (Array.to_list (Array.map cell a)) in
-          Format.printf "run %d (input %a): t_i = [%s], writes = [%s]@." run
-            Seqspace.Xset.pp_sequence input (times lt) (times wt);
-          Report.row table
-            [ Report.int run; Report.str ("[" ^ times lt ^ "]"); Report.str ("[" ^ times wt ^ "]") ]
-        end)
-      tarr;
-    match
-      maybe_json
-        (Report.make ~id:"knowledge"
-           ~title:(Printf.sprintf "learning times t_i over the m=%d norep universe" m)
-           [
-             Report.Metrics
-               {
-                 title = None;
-                 pairs =
-                   [
-                     ("traces", Report.int (Array.length tarr));
-                     ("points", Report.int (Knowledge.Universe.n_points u));
-                     ("classes", Report.int (Knowledge.Universe.n_classes u));
-                   ];
-               };
-             Report.finish table;
-           ])
-        json
-    with
-    | Ok () -> `Ok ()
-    | Error e -> `Error (false, e)
+    List.iter
+      (fun run ->
+        let times a =
+          String.concat "; "
+            (Array.to_list (Array.map (function Some t -> string_of_int t | None -> "?") a))
+        in
+        let lt = times (Knowledge.Learn.learning_times u ~run) in
+        let wt = times (Knowledge.Learn.write_times u ~run) in
+        Format.printf "run %d (input %a): t_i = [%s], writes = [%s]@." run
+          Seqspace.Xset.pp_sequence input lt wt;
+        Report.row table
+          [ Report.int run; Report.str ("[" ^ lt ^ "]"); Report.str ("[" ^ wt ^ "]") ])
+      (Knowledge.Universe.runs_of u input);
+    let* () =
+      write_json json
+        (Report.to_json
+           (Report.make ~id:"knowledge"
+              ~title:(Printf.sprintf "learning times t_i over the m=%d norep universe" m)
+              [
+                Report.Metrics
+                  {
+                    title = None;
+                    pairs =
+                      [
+                        ("traces", Report.int traces);
+                        ("points", Report.int (Knowledge.Universe.n_points u));
+                        ("classes", Report.int (Knowledge.Universe.n_classes u));
+                      ];
+                  };
+                Report.finish table;
+              ]))
+    in
+    `Ok ()
   end
 
 let knowledge_cmd =
@@ -415,7 +427,6 @@ let knowledge_cmd =
 (* ---------------- verify ---------------- *)
 
 let verify_run protocol config seeds max_steps max_failures jobs json =
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> `Error (false, e) in
   let* p = Registry.build_protocol ~name:protocol config in
   let xs =
     if protocol = "norep" then Seqspace.Norep.enumerate ~m:config.Registry.domain
@@ -424,6 +435,7 @@ let verify_run protocol config seeds max_steps max_failures jobs json =
         (Seqspace.Xset.All_upto
            { domain = config.Registry.domain; max_len = config.Registry.max_len })
   in
+  let* () = check_inputs config p xs in
   let spec = Core.Harness.default_spec ~max_steps ~n_seeds:seeds () in
   let report = Core.Harness.verify p ~xs ?max_failures ~jobs spec in
   Format.printf "%a@." Core.Harness.pp_report report;
@@ -434,7 +446,7 @@ let verify_run protocol config seeds max_steps max_failures jobs json =
           f.Core.Harness.input f.Core.Harness.strategy_name f.Core.Harness.seed
           Core.Verdict.pp f.Core.Harness.verdict)
     report.Core.Harness.failures;
-  let* () = maybe_json (Core.Harness.to_report report) json in
+  let* () = write_json json (Report.to_json (Core.Harness.to_report report)) in
   if Core.Harness.clean report then `Ok ()
   else `Error (false, "verification found failing runs")
 
@@ -455,19 +467,19 @@ let verify_cmd =
        ~doc:"Batch-verify a protocol over its whole allowable set under a schedule battery.")
     Term.(
       ret
-        (const verify_run $ protocol_arg $ config_term $ seeds $ max_steps_arg $ max_failures
-       $ jobs_arg $ json_arg))
+        (const verify_run $ protocol_arg () $ config_term () $ seeds $ max_steps_arg
+       $ max_failures $ jobs_arg $ json_arg))
 
 (* ---------------- recover ---------------- *)
 
 let recover_run protocol config input json =
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> `Error (false, e) in
   let* p = Registry.build_protocol ~name:protocol config in
+  let* () = Registry.check_input config p (Array.of_list input) in
   let r = Core.Spec.recoverability p ~input () in
   Format.printf "%a@." Core.Spec.pp_recoverability r;
   Format.printf "recoverable: %b (Property 2's executable face — see DESIGN.md E12)@."
     (Core.Spec.recoverable r);
-  let* () = maybe_json (Core.Spec.recoverability_report ~protocol r) json in
+  let* () = write_json json (Report.to_json (Core.Spec.recoverability_report ~protocol r)) in
   `Ok ()
 
 let recover_cmd =
@@ -477,7 +489,7 @@ let recover_cmd =
   Cmd.v
     (Cmd.info "recover"
        ~doc:"Exhaustive dead-state analysis: can every reachable state still complete?")
-    Term.(ret (const recover_run $ protocol_arg $ config_term $ input $ json_arg))
+    Term.(ret (const recover_run $ protocol_arg () $ config_term () $ input $ json_arg))
 
 (* ---------------- census ---------------- *)
 
@@ -491,11 +503,9 @@ let census_run samples states jobs json =
     r.Core.Census.samples r.Core.Census.broken_directly r.Core.Census.witnessed
     r.Core.Census.undecided r.Core.Census.survivors
     (if control then "clean" else "BROKEN");
-  match maybe_json (Core.Census.to_report ~control r) json with
-  | Error e -> `Error (false, e)
-  | Ok () ->
-      if Core.Census.ok r && control then `Ok ()
-      else `Error (false, "census found a survivor or was inconclusive")
+  let* () = write_json json (Report.to_json (Core.Census.to_report ~control r)) in
+  if Core.Census.ok r && control then `Ok ()
+  else `Error (false, "census found a survivor or was inconclusive")
 
 let census_cmd =
   let samples = Arg.(value & opt int 300 & info [ "samples" ] ~doc:"Protocols to sample.") in
@@ -520,17 +530,10 @@ let experiments_run quick only format json =
   let results =
     List.map (fun e -> if quick then e.Registry.e_quick () else e.Registry.e_full ()) entries
   in
-  match
-    match json with Some path -> write_artifact path (Report.set_to_json results) | None -> Ok ()
-  with
-  | Error e -> `Error (false, e)
-  | Ok () ->
-  (match format with
-  | `Text -> List.iter (fun r -> Format.printf "%a@.@." Core.Experiments.pp_result r) results
-  | `Json ->
-      print_string (Stdx.Json.to_string (Report.set_to_json results));
-      print_newline ()
-  | `Csv -> List.iter (fun r -> print_string (Report.to_csv r)) results);
+  let set = Report.set_to_json results in
+  let* () = write_json json set in
+  print_reports ~text:(fun r -> Format.printf "%a@.@." Core.Experiments.pp_result r) format set
+    results;
   if List.for_all Core.Experiments.ok results then `Ok ()
   else `Error (false, "some experiment shapes were violated")
 
@@ -551,17 +554,10 @@ let soak_run seed jobs random_plans stab max_seconds format json =
     else Faults.Soak.default_battery ~random_plans ~seed ()
   in
   let r = Faults.Soak.run ~jobs ?max_seconds ~seed cases in
-  match maybe_json r json with
-  | Error e -> `Error (false, e)
-  | Ok () ->
-      (match format with
-      | `Text -> print_string (Report.to_text r)
-      | `Json ->
-          print_string (Stdx.Json.to_string (Report.to_json r));
-          print_newline ()
-      | `Csv -> print_string (Report.to_csv r));
-      if r.Report.ok = Some true then `Ok ()
-      else `Error (false, "soak battery was truncated before completing")
+  let* () = write_json json (Report.to_json r) in
+  print_reports format (Report.to_json r) [ r ];
+  if r.Report.ok = Some true then `Ok ()
+  else `Error (false, "soak battery was truncated before completing")
 
 let soak_cmd =
   let random_plans =
@@ -605,66 +601,37 @@ let soak_cmd =
 
 let stab_run protocol config input within max_steps seed jobs search depth max_states
     max_sends format json =
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> `Error (false, e) in
   let* p = Registry.build_protocol ~name:protocol config in
   let input = Array.of_list input in
+  let* () = Registry.check_input config p input in
   match Core.Stab.sweep ~jobs ~max_steps p ~input ~within ~seed () with
   | exception Invalid_argument e -> `Error (false, e)
   | sweep ->
-      let outcome =
-        if search then
-          Some
-            (Core.Stab.search ~depth ~max_states ~max_sends_per_sender:max_sends
-               ~max_sends_per_receiver:max_sends p ~input ())
-        else None
-      in
       let r = Core.Stab.sweep_report sweep in
       let r =
-        match outcome with
-        | None -> r
-        | Some o ->
-            let violation_free =
-              match o with Core.Stab.No_violation _ -> true | Core.Stab.Violation _ -> false
-            in
-            {
-              r with
-              Report.items = r.Report.items @ Core.Stab.outcome_items o;
-              ok = Some (sweep.Core.Stab.all_stabilised && violation_free);
-            }
+        if not search then r
+        else
+          let o =
+            Core.Stab.search ~depth ~max_states ~max_sends_per_sender:max_sends
+              ~max_sends_per_receiver:max_sends p ~input ()
+          in
+          let violation_free =
+            match o with Core.Stab.No_violation _ -> true | Core.Stab.Violation _ -> false
+          in
+          {
+            r with
+            Report.items = r.Report.items @ Core.Stab.outcome_items o;
+            ok = Some (sweep.Core.Stab.all_stabilised && violation_free);
+          }
       in
-      let* () = maybe_json r json in
-      (match format with
-      | `Text -> print_string (Report.to_text r)
-      | `Json ->
-          print_string (Stdx.Json.to_string (Report.to_json r));
-          print_newline ()
-      | `Csv -> print_string (Report.to_csv r));
+      let* () = write_json json (Report.to_json r) in
+      print_reports format (Report.to_json r) [ r ];
       if r.Report.ok = Some true then `Ok ()
       else `Error (false, "a corrupted start failed to stabilise (or reached a violation)")
 
 let stab_cmd =
   let protocol =
-    Arg.(
-      value
-      & opt (enum (List.map (fun n -> (n, n)) (Registry.protocol_names ()))) "abp-stab"
-      & info [ "p"; "protocol" ] ~doc:"Protocol to sweep (must declare a perturb space).")
-  in
-  (* The shared config term defaults to the attack surface's
-     reorder+dup / d=3; the stabilisation sweep's canonical subject is
-     abp-stab on its native channel at E15's parameters. *)
-  let config_term =
-    let make channel domain max_len header_space drop_budget window =
-      { Registry.channel; domain; max_len; header_space; drop_budget; window }
-    in
-    let channel =
-      Arg.(value & opt channel_conv Chan.Fifo_lossy & info [ "c"; "channel" ] ~doc:"Channel kind.")
-    in
-    let domain =
-      Arg.(value & opt int 2 & info [ "d"; "domain" ] ~doc:"Data domain size |D|.")
-    in
-    Term.(
-      const make $ channel $ domain $ max_len_arg $ header_space_arg $ drop_budget_arg
-      $ window_arg)
+    protocol_arg ~default:"abp-stab" ~doc:"Protocol to sweep (must declare a perturb space)." ()
   in
   let input =
     Arg.(value & opt input_conv [ 0; 1; 1; 0 ] & info [ "i"; "input" ] ~doc:"Input sequence.")
@@ -700,8 +667,12 @@ let stab_cmd =
           and (with --search) an exact witness search over the union of corrupted roots.")
     Term.(
       ret
-        (const stab_run $ protocol $ config_term $ input $ within $ max_steps $ seed_arg
-       $ jobs_arg $ search $ depth $ max_states $ max_sends $ format_arg $ json_arg))
+        (* The stabilisation sweep's canonical subject is abp-stab on its
+           native channel at E15's parameters. *)
+        (const stab_run $ protocol
+        $ config_term ~channel:Chan.Fifo_lossy ~domain:2 ()
+        $ input $ within $ max_steps $ seed_arg $ jobs_arg $ search $ depth $ max_states
+        $ max_sends $ format_arg $ json_arg))
 
 (* ---------------- serve ---------------- *)
 
@@ -710,40 +681,26 @@ let serve_run once spool jobs timeslice results_only poll_seconds max_batches id
   match (once, spool) with
   | None, None | Some _, Some _ ->
       `Error (true, "serve needs exactly one of --once FILE or --spool DIR")
-  | Some path, None -> (
+  | Some path, None ->
       (* Drain one batch file and exit: the cram-testable path. *)
-      match Serve.load_batch path with
-      | Error e -> `Error (false, Printf.sprintf "%s: %s" path e)
-      | Ok batch -> (
-          let t0 = Stdx.Clock.now () in
-          let outcomes, stats = Serve.run_batch ~jobs ~timeslice batch in
-          let telemetry =
-            Serve.observe Serve.telemetry_zero stats ~wall_seconds:(Stdx.Clock.now () -. t0)
-          in
-          let results = Serve.results_report ~label:(Filename.basename path) outcomes in
-          let telemetry_r = Serve.telemetry_report telemetry in
-          let art = Serve.artifact ~results_only ~results ~telemetry:telemetry_r () in
-          let shown = if results_only then [ results ] else [ results; telemetry_r ] in
-          (match format with
-          | `Text -> List.iter (fun r -> print_string (Report.to_text r)) shown
-          | `Json ->
-              print_string (Stdx.Json.to_string art);
-              print_newline ()
-          | `Csv -> List.iter (fun r -> print_string (Report.to_csv r)) shown);
-          match json with
-          | None -> `Ok ()
-          | Some out -> (
-              match write_artifact out art with
-              | Ok () -> `Ok ()
-              | Error e -> `Error (false, e))))
-  | None, Some dir -> (
-      match
+      let* batch = Result.map_error (Printf.sprintf "%s: %s" path) (Serve.load_batch path) in
+      let t0 = Stdx.Clock.now () in
+      let outcomes, stats = Serve.run_batch ~jobs ~timeslice batch in
+      let telemetry =
+        Serve.observe Serve.telemetry_zero stats ~wall_seconds:(Stdx.Clock.now () -. t0)
+      in
+      let results = Serve.results_report ~label:(Filename.basename path) outcomes in
+      let telemetry_r = Serve.telemetry_report telemetry in
+      let art = Serve.artifact ~results_only ~results ~telemetry:telemetry_r () in
+      print_reports format art (if results_only then [ results ] else [ results; telemetry_r ]);
+      let* () = write_json json art in
+      `Ok ()
+  | None, Some dir ->
+      let* telemetry =
         Serve.spool ~jobs ~timeslice ~poll_seconds ?max_batches ?idle_exit ~dir ()
-      with
-      | Error e -> `Error (false, e)
-      | Ok telemetry ->
-          print_string (Report.to_text (Serve.telemetry_report telemetry));
-          `Ok ())
+      in
+      print_string (Report.to_text (Serve.telemetry_report telemetry));
+      `Ok ()
 
 let serve_cmd =
   let once =

@@ -16,33 +16,17 @@ let () =
 
   (* The universe must contain runs of *other* inputs too: knowledge is
      relative to what else the observed history could have meant. *)
-  let traces =
-    List.concat_map
-      (fun x ->
-        List.map
-          (fun seed ->
-            (Kernel.Runner.run protocol ~input:(Array.of_list x)
-               ~strategy:(Kernel.Strategy.fair_random ()) ~rng:(Stdx.Rng.create seed)
-               ~max_steps:1_000 ~post_roll:20 ())
-              .Kernel.Runner.trace)
-          [ 1; 2; 3; 4; 5; 6; 7; 8 ])
-      (Seqspace.Norep.enumerate ~m)
-    in
-  let u = Knowledge.Universe.of_traces traces in
+  let u =
+    Knowledge.Universe.sample protocol ~xs:(Seqspace.Norep.enumerate ~m)
+      ~strategies:[ Kernel.Strategy.fair_random () ]
+      ~seeds:8 ~max_steps:1_000 ~post_roll:20
+  in
   let tarr = Knowledge.Universe.traces u in
   Format.printf "universe: %d runs, %d points, %d receiver-view classes@.@."
     (Array.length tarr) (Knowledge.Universe.n_points u) (Knowledge.Universe.n_classes u);
 
   (* Pick the first run of our chosen input and render its frontier. *)
-  let run =
-    match
-      List.find_opt
-        (fun i -> Array.to_list (Kernel.Trace.input tarr.(i)) = input)
-        (List.init (Array.length tarr) Fun.id)
-    with
-    | Some r -> r
-    | None -> failwith "no run of the chosen input in the universe"
-  in
+  let run = List.hd (Knowledge.Universe.runs_of u input) in
   let trace = tarr.(run) in
   Format.printf "run %d, input %a: one row per step, K = items known, W = items written@.@."
     run Seqspace.Xset.pp_sequence input;
@@ -73,27 +57,12 @@ let () =
    first item"; each wrapping K costs another acknowledgement hop. *)
 let () =
   let m = 3 in
-  let protocol = Protocols.Norep.del ~m in
-  let traces =
-    List.concat_map
-      (fun x ->
-        List.map
-          (fun seed ->
-            (Kernel.Runner.run protocol ~input:(Array.of_list x)
-               ~strategy:(Kernel.Strategy.fair_random ()) ~rng:(Stdx.Rng.create seed)
-               ~max_steps:1_000 ~post_roll:30 ())
-              .Kernel.Runner.trace)
-          [ 1; 2; 3; 4 ])
-      (Seqspace.Norep.enumerate ~m)
+  let u =
+    Knowledge.Universe.sample (Protocols.Norep.del ~m) ~xs:(Seqspace.Norep.enumerate ~m)
+      ~strategies:[ Kernel.Strategy.fair_random () ]
+      ~seeds:4 ~max_steps:1_000 ~post_roll:30
   in
-  let u = Knowledge.Universe.of_traces traces in
-  let tarr = Knowledge.Universe.traces u in
-  let run =
-    Option.get
-      (List.find_opt
-         (fun i -> Array.to_list (Kernel.Trace.input tarr.(i)) = [ 0; 1; 2 ])
-         (List.init (Array.length tarr) Fun.id))
-  in
+  let run = List.hd (Knowledge.Universe.runs_of u [ 0; 1; 2 ]) in
   let module F = Knowledge.Formula in
   Format.printf "@.mutual-knowledge ladder on the same protocol family:@.";
   let rec ladder k phi =

@@ -991,8 +991,6 @@ let pp_witness ppf w =
     (Format.pp_print_list pp_joint_move)
     w.joint_moves
 
-let seq_text xs = "<" ^ String.concat " " (List.map string_of_int xs) ^ ">"
-
 let kind_text = function
   | Safety { violated_run } -> Printf.sprintf "safety(run %d)" violated_run
   | Starvation { starved_run } -> Printf.sprintf "starvation(run %d)" starved_run
@@ -1005,8 +1003,8 @@ let witness_item w =
       pairs =
         [
           ("kind", R.str (kind_text w.kind));
-          ("x1", R.str (seq_text w.x1));
-          ("x2", R.str (seq_text w.x2));
+          ("x1", R.str (Xset.sequence_text w.x1));
+          ("x2", R.str (Xset.sequence_text w.x2));
           ("depth", R.int w.depth);
           ("states_explored", R.int w.states_explored);
           ("joint_moves", R.int (List.length w.joint_moves));
@@ -1048,8 +1046,8 @@ let outcome_report ~x1 ~x2 ?stats outcome =
         title = None;
         pairs =
           [
-            ("x1", R.str (seq_text x1));
-            ("x2", R.str (seq_text x2));
+            ("x1", R.str (Xset.sequence_text x1));
+            ("x2", R.str (Xset.sequence_text x2));
             ("outcome", R.str (outcome_text outcome));
           ];
       }
@@ -1067,7 +1065,8 @@ let search_report ?stats outcomes witness =
   in
   List.iter
     (fun (a, b, o) ->
-      R.row t [ R.str (seq_text a); R.str (seq_text b); R.str (outcome_text o) ])
+      R.row t
+        [ R.str (Xset.sequence_text a); R.str (Xset.sequence_text b); R.str (outcome_text o) ])
     outcomes;
   let items =
     match witness with Some w -> [ R.finish t; witness_item w ] | None -> [ R.finish t ]

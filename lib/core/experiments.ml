@@ -133,7 +133,7 @@ let attack_table ~title rows =
   in
   let ok = ref true in
   List.iter
-    (fun (name, xsize, search_kind, outcome, expectation) ->
+    (fun (name, xsize, (search_kind, outcome), expectation) ->
       let cell, verdict = outcome_cell outcome in
       let good =
         match (expectation, verdict) with
@@ -163,93 +163,104 @@ let first_outcome outcomes =
     (Attack.No_violation { closed = true; states_explored = 0 })
     outcomes
 
+(* Each runs one search and returns its "search" cell with its
+   outcome; [cap] bounds the sends of each side. *)
+let all_pairs ?cap p ~xs =
+  let outcomes, _ =
+    Attack.search p ~xs ~depth:200 ?max_sends_per_sender:cap ?max_sends_per_receiver:cap ()
+  in
+  ("all pairs", first_outcome outcomes)
+
+let pair ?cap ~depth p x1 x2 =
+  ( Printf.sprintf "pair %s/%s" (Xset.sequence_text x1) (Xset.sequence_text x2),
+    Attack.search_pair p ~x1 ~x2 ~depth ?max_sends_per_sender:cap ?max_sends_per_receiver:cap
+      () )
+
+let single ?cap p x =
+  ( "single " ^ Xset.sequence_text x,
+    Attack.search_single p ~x ~depth:64 ?max_sends_per_sender:cap ?max_sends_per_receiver:cap
+      () )
+
+(* The rows E2 and E3 share over [channel] (reorder+dup or
+   reorder+del): the Sec [sec] protocol at the bound and one sequence
+   beyond it; the coded protocol, which moves the same bound onto a
+   repeat-ful X; counting, which claims every sequence and which
+   reordering kills; counting with retransmission; then the
+   single-run zoo, [singles] first — bounded headers and windows are
+   still finite.  [cap] bounds the norep and coded searches' sends,
+   [resend_cap] counting-resend's and [zoo_cap] the zoo's. *)
+let bound_rows ~m ~channel ~sec ?cap ?resend_cap ?zoo_cap ?(singles = []) () =
+  let vs n = Printf.sprintf "%d vs %d" n (Alpha.alpha_exn m) in
+  let repeats_xs = [ []; [ 0 ]; [ 0; 0 ]; [ 1 ]; [ 1; 1 ] ] in
+  let kind, norep, coded =
+    match channel with
+    | Chan.Reorder_dup -> ("dup", Protocols.Norep.dup ~m, Protocols.Coded.dup ~m ~xs:repeats_xs)
+    | _ -> ("del", Protocols.Norep.del ~m, Protocols.Coded.del ~m ~xs:repeats_xs)
+  in
+  let norep_xs = Norep_seq.enumerate ~m in
+  let over = "all seqs (> alpha)" in
+  [
+    ( Printf.sprintf "norep-%s (paper, Sec %d)" kind sec,
+      vs (List.length norep_xs),
+      all_pairs ?cap norep ~xs:norep_xs,
+      Expect_closed );
+    ( Printf.sprintf "norep-%s + <0 0>" kind,
+      vs (List.length norep_xs + 1),
+      pair ?cap ~depth:200 norep [ 0; 1 ] [ 0; 0 ],
+      Expect_witness );
+    ( Printf.sprintf "coded-%s on repeats" kind,
+      vs (List.length repeats_xs),
+      (match coded with
+      | Ok p -> all_pairs ?cap p ~xs:repeats_xs
+      | Error _ -> ("build", Attack.No_violation { closed = false; states_explored = 0 })),
+      Expect_closed );
+    ( "counting",
+      over,
+      pair ~depth:64 (Protocols.Counting.protocol_on channel ~domain:m) [ 0; 1 ] [ 1; 0 ],
+      Expect_witness );
+    ( "counting-resend",
+      over,
+      single ?cap:resend_cap (Protocols.Counting.resend channel ~domain:m) [ 0; 1 ],
+      Expect_witness );
+  ]
+  @ List.map
+      (fun (name, p, x) -> (name, over, single ?cap:zoo_cap p x, Expect_witness))
+      (singles
+      @ [
+          ( "stenning-mod (h=2)",
+            Protocols.Stenning_mod.protocol_on channel ~domain:m ~header_space:2,
+            [ 0; 1; 0; 1 ] );
+          ( "go-back-2",
+            Protocols.Go_back_n.protocol_on channel ~domain:m ~window:2,
+            [ 0; 1; 1; 1 ] );
+        ])
+
 (* ------------------------------------------------------------------ *)
 (* E2: Theorem 1 impossibility over reorder+dup. *)
 
 let e2_dup_attacks ?(m = 2) () =
   let alpha_m = Alpha.alpha_exn m in
-  let norep_xs = Norep_seq.enumerate ~m in
-  let vs n = Printf.sprintf "%d vs %d" n alpha_m in
-  let repeats_xs = [ []; [ 0 ]; [ 0; 0 ]; [ 1 ]; [ 1; 1 ] ] in
-  let all_len2 = (Xset.All_upto { domain = m; max_len = 2 } |> Xset.to_list) in
-  let rows = ref [] in
-  let add row = rows := row :: !rows in
-  (* 1. The tight protocol at the bound: every pair closes clean. *)
-  let p_norep = Protocols.Norep.dup ~m in
-  let outcomes, _ = Attack.search p_norep ~xs:norep_xs ~depth:200 () in
-  add ("norep-dup (paper, Sec 3)", vs (List.length norep_xs), "all pairs", first_outcome outcomes, Expect_closed);
-  (* 2. One sequence beyond the bound: a witness appears. *)
-  let o2 = Attack.search_pair p_norep ~x1:[ 0; 1 ] ~x2:[ 0; 0 ] ~depth:200 () in
-  add ("norep-dup + <0 0>", vs (List.length norep_xs + 1), "pair <0 1>/<0 0>", o2, Expect_witness);
-  (* 3. The coded protocol moves the *same* bound onto a repeat-ful X. *)
-  (match Protocols.Coded.dup ~m ~xs:repeats_xs with
-  | Ok p ->
-      let outcomes, _ = Attack.search p ~xs:repeats_xs ~depth:200 () in
-      add
-        ( "coded-dup on repeats",
-          vs (List.length repeats_xs),
-          "all pairs",
-          first_outcome outcomes,
-          Expect_closed )
-  | Error _ -> add ("coded-dup on repeats", vs (List.length repeats_xs), "build", Attack.No_violation { closed = false; states_explored = 0 }, Expect_closed));
-  (* 4. Counting: claims all sequences; reordering kills it. *)
-  let p_count = Protocols.Counting.protocol_on Chan.Reorder_dup ~domain:m in
-  add
-    ( "counting",
-      "all seqs (> alpha)",
-      "pair <0 1>/<1 0>",
-      Attack.search_pair p_count ~x1:[ 0; 1 ]
-        ~x2:[ 1; 0 ] ~depth:64 (),
-      Expect_witness );
-  (* 5. Counting with retransmission: duplication kills it. *)
-  let p_resend = Protocols.Counting.resend Chan.Reorder_dup ~domain:m in
-  add
-    ( "counting-resend",
-      "all seqs (> alpha)",
-      "single <0 1>",
-      Attack.search_single p_resend ~x:[ 0; 1 ] ~depth:64 (),
-      Expect_witness );
-  (* 6. Alternating Bit under reordering+duplication. *)
-  let p_abp = Protocols.Abp.protocol_on Chan.Reorder_dup ~domain:m in
-  add
-    ( "abp",
-      "all seqs (> alpha)",
-      "single <0 0>",
-      Attack.search_single p_abp ~x:[ 0; 0 ] ~depth:64 (),
-      Expect_witness );
-  (* 7. Stenning with bounded headers: the LMF88 victim. *)
-  let p_smod = Protocols.Stenning_mod.protocol_on Chan.Reorder_dup ~domain:m ~header_space:2 in
-  add
-    ( "stenning-mod (h=2)",
-      "all seqs (> alpha)",
-      "single <0 1 0 1>",
-      Attack.search_single p_smod ~x:[ 0; 1; 0; 1 ] ~depth:64 (),
-      Expect_witness );
-  (* 8. Go-Back-N: a window buys pipelining, not immunity — its
-     headers are still finite. *)
-  let p_gbn = Protocols.Go_back_n.protocol_on Chan.Reorder_dup ~domain:m ~window:2 in
-  add
-    ( "go-back-2",
-      "all seqs (> alpha)",
-      "single <0 1 1 1>",
-      Attack.search_single p_gbn ~x:[ 0; 1; 1; 1 ] ~depth:64 (),
-      Expect_witness );
-  (* 9. Stenning with true (unbounded) headers escapes the bound. *)
-  let p_sten = Protocols.Stenning.protocol_on Chan.Reorder_dup ~domain:m ~max_len:2 in
-  let outcomes, _ = Attack.search p_sten ~xs:all_len2 ~depth:200 () in
-  add
-    ( "stenning (unbounded headers)",
-      Printf.sprintf "%d, alphabet grows" (List.length all_len2),
-      "all pairs",
-      first_outcome outcomes,
-      Expect_closed );
+  let all_len2 = Xset.to_list (Xset.All_upto { domain = m; max_len = 2 }) in
+  let rows =
+    bound_rows ~m ~channel:Chan.Reorder_dup ~sec:3
+      ~singles:[ ("abp", Protocols.Abp.protocol_on Chan.Reorder_dup ~domain:m, [ 0; 0 ]) ]
+      ()
+    (* Stenning with true (unbounded) headers escapes the bound. *)
+    @ [
+        ( "stenning (unbounded headers)",
+          Printf.sprintf "%d, alphabet grows" (List.length all_len2),
+          all_pairs
+            (Protocols.Stenning.protocol_on Chan.Reorder_dup ~domain:m ~max_len:2)
+            ~xs:all_len2,
+          Expect_closed );
+      ]
+  in
   (* The coded protocol *cannot* be built past the bound: the trie runs
      out of symbols — the combinatorial face of Theorem 1. *)
-  let over_xs = Xset.to_list (Xset.All_upto { domain = m; max_len = 2 }) in
   let code_fails =
-    match Protocols.Coded.dup ~m ~xs:over_xs with Ok _ -> false | Error _ -> true
+    match Protocols.Coded.dup ~m ~xs:all_len2 with Ok _ -> false | Error _ -> true
   in
-  let table, rows_ok = attack_table ~title:"E2: attacks over reorder+dup" (List.rev !rows) in
+  let table, rows_ok = attack_table ~title:"E2: attacks over reorder+dup" rows in
   Report.make ~id:"E2" ~title:"Theorem 1 impossibility: |X| > alpha(m) breaks every candidate"
     ~ok:(rows_ok && code_fails)
     ~notes:
@@ -258,7 +269,7 @@ let e2_dup_attacks ?(m = 2) () =
         Printf.sprintf
           "mu-code construction for all %d sequences of length <= 2 over %d symbols: %s (no \
            repetition-free prefix-monotone code exists beyond alpha(m))"
-          (List.length over_xs) m
+          (List.length all_len2) m
           (if code_fails then "fails as predicted" else "UNEXPECTEDLY SUCCEEDED");
         "witness kinds: SAFETY = receiver writes data violating the input prefix; STARVATION = \
          fair-for-one-run cycle in the closed joint graph that never writes past the common \
@@ -271,75 +282,11 @@ let e2_dup_attacks ?(m = 2) () =
 
 let e3_del_attacks ?(m = 2) ?(f_const = 4) () =
   let alpha_m = Alpha.alpha_exn m in
-  let norep_xs = Norep_seq.enumerate ~m in
-  let vs n = Printf.sprintf "%d vs %d" n alpha_m in
-  let repeats_xs = [ []; [ 0 ]; [ 0; 0 ]; [ 1 ]; [ 1; 1 ] ] in
-  let caps = (4, 4) in
-  let cap_s, cap_r = caps in
-  let rows = ref [] in
-  let add row = rows := row :: !rows in
-  let p_norep = Protocols.Norep.del ~m in
-  let outcomes, _ =
-    Attack.search p_norep ~xs:norep_xs ~depth:200 ~max_sends_per_sender:cap_s
-      ~max_sends_per_receiver:cap_r ()
+  let cap = 4 in
+  let table, rows_ok =
+    attack_table ~title:"E3: attacks over reorder+del"
+      (bound_rows ~m ~channel:Chan.Reorder_del ~sec:4 ~cap ~resend_cap:6 ~zoo_cap:8 ())
   in
-  add ("norep-del (paper, Sec 4)", vs (List.length norep_xs), "all pairs", first_outcome outcomes, Expect_closed);
-  let o2 =
-    Attack.search_pair p_norep ~x1:[ 0; 1 ] ~x2:[ 0; 0 ] ~depth:200 ~max_sends_per_sender:cap_s
-      ~max_sends_per_receiver:cap_r ()
-  in
-  add ("norep-del + <0 0>", vs (List.length norep_xs + 1), "pair <0 1>/<0 0>", o2, Expect_witness);
-  (match Protocols.Coded.del ~m ~xs:repeats_xs with
-  | Ok p ->
-      let outcomes, _ =
-        Attack.search p ~xs:repeats_xs ~depth:200 ~max_sends_per_sender:cap_s
-          ~max_sends_per_receiver:cap_r ()
-      in
-      add
-        ( "coded-del on repeats",
-          vs (List.length repeats_xs),
-          "all pairs",
-          first_outcome outcomes,
-          Expect_closed )
-  | Error _ ->
-      add
-        ( "coded-del on repeats",
-          vs (List.length repeats_xs),
-          "build",
-          Attack.No_violation { closed = false; states_explored = 0 },
-          Expect_closed ));
-  let p_count = Protocols.Counting.protocol_on Chan.Reorder_del ~domain:m in
-  add
-    ( "counting",
-      "all seqs (> alpha)",
-      "pair <0 1>/<1 0>",
-      Attack.search_pair p_count ~x1:[ 0; 1 ] ~x2:[ 1; 0 ] ~depth:64 (),
-      Expect_witness );
-  let p_resend = Protocols.Counting.resend Chan.Reorder_del ~domain:m in
-  add
-    ( "counting-resend",
-      "all seqs (> alpha)",
-      "single <0 1>",
-      Attack.search_single p_resend ~x:[ 0; 1 ] ~depth:64 ~max_sends_per_sender:6
-        ~max_sends_per_receiver:6 (),
-      Expect_witness );
-  let p_smod = Protocols.Stenning_mod.protocol_on Chan.Reorder_del ~domain:m ~header_space:2 in
-  add
-    ( "stenning-mod (h=2)",
-      "all seqs (> alpha)",
-      "single <0 1 0 1>",
-      Attack.search_single p_smod ~x:[ 0; 1; 0; 1 ] ~depth:64 ~max_sends_per_sender:8
-        ~max_sends_per_receiver:8 (),
-      Expect_witness );
-  let p_gbn = Protocols.Go_back_n.protocol_on Chan.Reorder_del ~domain:m ~window:2 in
-  add
-    ( "go-back-2",
-      "all seqs (> alpha)",
-      "single <0 1 1 1>",
-      Attack.search_single p_gbn ~x:[ 0; 1; 1; 1 ] ~depth:64 ~max_sends_per_sender:8
-        ~max_sends_per_receiver:8 (),
-      Expect_witness );
-  let table, rows_ok = attack_table ~title:"E3: attacks over reorder+del" (List.rev !rows) in
   (* The ladder protocol shows the *unbounded* escape hatch exists. *)
   let xset = Xset.All_upto { domain = 2; max_len = 2 } in
   let p_ladder = Protocols.Ladder.protocol ~xset ~drop_budget:1 in
@@ -368,7 +315,7 @@ let e3_del_attacks ?(m = 2) ?(f_const = 4) () =
     ~notes:
       [
         Printf.sprintf "m = %d, alpha(m) = %d; send caps %d/%d make the joint spaces finite" m
-          alpha_m cap_s cap_r;
+          alpha_m cap cap;
         Printf.sprintf
           "unbounded escape (AFWZ89 role, here the counting ladder): %s on all sequences of \
            length <= 2 under <= 1 deletion"
@@ -534,23 +481,11 @@ let e5_weak_boundedness ?(domain = 2) ?(max_len = 5) ?(seeds = 3) () =
 (* E6: knowledge timelines (§2.3–2.4). *)
 
 let e6_knowledge_timeline ?(m = 3) ?(seeds = 10) () =
-  let xs = Norep_seq.enumerate ~m in
-  let p = Protocols.Norep.dup ~m in
-  let traces =
-    List.concat_map
-      (fun input ->
-        List.concat_map
-          (fun strategy ->
-            List.map
-              (fun seed ->
-                (Runner.run p ~input:(Array.of_list input) ~strategy
-                   ~rng:(Stdx.Rng.create seed) ~max_steps:600 ~post_roll:30 ())
-                  .Runner.trace)
-              (List.init seeds (fun i -> i + 1)))
-          [ Strategy.fair_random (); Strategy.round_robin ])
-      xs
+  let u =
+    Knowledge.Universe.sample (Protocols.Norep.dup ~m) ~xs:(Norep_seq.enumerate ~m)
+      ~strategies:[ Strategy.fair_random (); Strategy.round_robin ]
+      ~seeds ~max_steps:600 ~post_roll:30
   in
-  let u = Knowledge.Universe.of_traces traces in
   let full = Norep_seq.longest ~m in
   let t =
     Report.table
@@ -565,11 +500,7 @@ let e6_knowledge_timeline ?(m = 3) ?(seeds = 10) () =
       ]
   in
   let tarr = Knowledge.Universe.traces u in
-  let runs_of_full =
-    List.filter
-      (fun i -> Array.to_list (Kernel.Trace.input tarr.(i)) = full)
-      (List.init (Array.length tarr) Fun.id)
-  in
+  let runs_of_full = Knowledge.Universe.runs_of u full in
   let ok = ref (runs_of_full <> []) in
   let stab_ok = ref true in
   let lead_nonneg = ref true in
@@ -786,6 +717,17 @@ let e9_census ?(samples = 300) ?(states = 3) () =
 (* ------------------------------------------------------------------ *)
 (* E10: the header/lag crossover on lag-bounded reordering channels. *)
 
+(* A crossover cell and whether it is as predicted: a witness exactly
+   where one is expected, a closed clean space elsewhere. *)
+let crossover_cell ~expect_witness = function
+  | Attack.Witness w ->
+      ( Report.str
+          (Printf.sprintf "WITNESS@%d%s" w.Attack.depth (if expect_witness then "" else " (!)")),
+        expect_witness )
+  | Attack.No_violation { closed = true; _ } ->
+      (Report.str (if expect_witness then "clean (!)" else "clean"), not expect_witness)
+  | Attack.No_violation { closed = false; _ } -> (Report.str "truncated (!)", false)
+
 let e10_crossover ?(h_max = 4) ?(lag_max = 3) () =
   (* Stenning-mod with header space h over a channel whose copies can
      overtake at most [lag] predecessors.  Prediction: a stale frame
@@ -812,23 +754,13 @@ let e10_crossover ?(h_max = 4) ?(lag_max = 3) () =
              the joint space and the collision attack never needs
              them (retransmissions supply the stale copies). *)
           let cap = (2 * (h + 1)) + 2 in
-          let outcome =
-            Attack.search_single p ~x:input ~depth:150 ~max_sends_per_sender:cap
-              ~max_sends_per_receiver:cap ~max_states:1_500_000 ~allow_drops:false ()
+          let cell, good =
+            crossover_cell ~expect_witness:(lag >= h - 1)
+              (Attack.search_single p ~x:input ~depth:150 ~max_sends_per_sender:cap
+                 ~max_sends_per_receiver:cap ~max_states:1_500_000 ~allow_drops:false ())
           in
-          let expected_witness = lag >= h - 1 in
-          match outcome with
-          | Attack.Witness w ->
-              if not expected_witness then ok := false;
-              Report.str
-                (Printf.sprintf "WITNESS@%d%s" w.Attack.depth
-                   (if expected_witness then "" else " (!)"))
-          | Attack.No_violation { closed = true; _ } ->
-              if expected_witness then ok := false;
-              Report.str (if expected_witness then "clean (!)" else "clean")
-          | Attack.No_violation { closed = false; _ } ->
-              ok := false;
-              Report.str "truncated (!)")
+          if not good then ok := false;
+          cell)
     in
     Report.row t (Report.int h :: cells)
   done;
@@ -857,21 +789,13 @@ let e10_crossover ?(h_max = 4) ?(lag_max = 3) () =
             Protocols.Selective_repeat.protocol_mod Chan.Fifo_lossy ~domain:2 ~window:w
               ~modulus
           in
-          match
-            Attack.search_single p ~x:input ~depth:120 ~max_sends_per_sender:12
-              ~max_sends_per_receiver:12 ~max_states:800_000 ()
-          with
-          | Attack.Witness wtn ->
-              if not expect_witness then ok := false;
-              Report.str
-                (Printf.sprintf "WITNESS@%d%s" wtn.Attack.depth
-                   (if expect_witness then "" else " (!)"))
-          | Attack.No_violation { closed = true; _ } ->
-              if expect_witness then ok := false;
-              Report.str (if expect_witness then "clean (!)" else "clean")
-          | Attack.No_violation { closed = false; _ } ->
-              ok := false;
-              Report.str "truncated (!)"
+          let cell, good =
+            crossover_cell ~expect_witness
+              (Attack.search_single p ~x:input ~depth:120 ~max_sends_per_sender:12
+                 ~max_sends_per_receiver:12 ~max_states:800_000 ())
+          in
+          if not good then ok := false;
+          cell
         end
       in
       Report.row sr
@@ -901,30 +825,12 @@ let e10_crossover ?(h_max = 4) ?(lag_max = 3) () =
 let e11_knowledge_ladder ?(m = 2) ?(seeds = 6) ?(depth = 5) () =
   let module F = Knowledge.Formula in
   let xs = Norep_seq.enumerate ~m in
-  let p = Protocols.Norep.del ~m in
-  let traces =
-    List.concat_map
-      (fun input ->
-        List.map
-          (fun seed ->
-            (Runner.run p ~input:(Array.of_list input) ~strategy:(Strategy.fair_random ())
-               ~rng:(Stdx.Rng.create seed) ~max_steps:2_000 ~post_roll:40 ())
-              .Runner.trace)
-          (List.init seeds (fun i -> i + 1)))
-      xs
+  let u =
+    Knowledge.Universe.sample (Protocols.Norep.del ~m) ~xs
+      ~strategies:[ Strategy.fair_random () ] ~seeds ~max_steps:2_000 ~post_roll:40
   in
-  let u = Knowledge.Universe.of_traces traces in
-  let tarr = Knowledge.Universe.traces u in
   let target = Norep_seq.longest ~m in
-  let run =
-    match
-      List.find_opt
-        (fun i -> Array.to_list (Kernel.Trace.input tarr.(i)) = target)
-        (List.init (Array.length tarr) Fun.id)
-    with
-    | Some r -> r
-    | None -> 0
-  in
+  let run = match Knowledge.Universe.runs_of u target with r :: _ -> r | [] -> 0 in
   (* φ = "the receiver has written the first item".  Level k of the
      ladder alternates K_S, K_R on top: K_S φ needs the first
      acknowledgement, K_R K_S φ needs evidence that acknowledgement
@@ -941,24 +847,11 @@ let e11_knowledge_ladder ?(m = 2) ?(seeds = 6) ?(depth = 5) () =
   in
   (* Level k wraps level k−1 so the outermost operator alternates
      K_S, K_R, K_S, … as k grows. *)
-  let rec build k =
-    if k = 0 then phi
-    else begin
-      let outer = if k mod 2 = 1 then F.Sender else F.Receiver in
-      F.Knows (outer, build (k - 1))
-    end
-  in
   let times =
     List.init (depth + 1) (fun k ->
-        let formula = build k in
-        let table = F.tabulate u formula in
-        let horizon = Kernel.Trace.length tarr.(run) in
-        let rec scan time =
-          if time > horizon then None
-          else if table { Knowledge.Universe.run; time } then Some time
-          else scan (time + 1)
-        in
-        (formula, scan 0))
+        let first = if k mod 2 = 1 then F.Sender else F.Receiver in
+        let formula = F.alternating ~depth:k ~first phi in
+        (formula, F.first_time u ~run formula))
   in
   List.iter
     (fun (formula, time) ->
@@ -1003,7 +896,8 @@ let e11_knowledge_ladder ?(m = 2) ?(seeds = 6) ?(depth = 5) () =
         Printf.sprintf
           "universe: %d sampled runs over all %d repetition-free inputs (m=%d); ladder \
            evaluated on a run of the longest input"
-          (Array.length tarr) (List.length xs) m;
+          (Array.length (Knowledge.Universe.traces u))
+          (List.length xs) m;
         "strictly increasing attainment times: level k+1 needs one more acknowledgement hop \
          than level k; common knowledge — the ladder's limit, computed exactly as a greatest \
          fixpoint over the universe — holds at no point whatsoever";

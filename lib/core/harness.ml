@@ -34,20 +34,6 @@ type report = {
   messages_per_item : Stdx.Stats.summary option;
 }
 
-let run_one p ~input ~strategy ~seed ~max_steps =
-  let result =
-    Runner.run p ~input:(Array.of_list input) ~strategy ~rng:(Stdx.Rng.create seed) ~max_steps ()
-  in
-  (Verdict.of_result result, (Kernel.Audit.run result.Runner.trace).Kernel.Audit.ok)
-
-let verify_one p ~input spec =
-  List.concat_map
-    (fun strategy ->
-      List.map
-        (fun seed -> fst (run_one p ~input ~strategy ~seed ~max_steps:spec.max_steps))
-        spec.seeds)
-    spec.strategies
-
 let verify (p : Kernel.Protocol.t) ~xs ?max_failures ?(jobs = 1) spec =
   (* All (input, strategy, seed) cells become one scheduler batch; the
      fold below walks the results in the historical nested-loop order,
@@ -123,8 +109,6 @@ let pp_report ppf r =
   | Some s -> Format.fprintf ppf " (msgs/item mean %.1f)" s.Stdx.Stats.mean
   | None -> ()
 
-let seq_text xs = "<" ^ String.concat " " (List.map string_of_int xs) ^ ">"
-
 let to_report r =
   let module R = Stdx.Report in
   let fcell = function Some (s : Stdx.Stats.summary) -> R.float s.mean | None -> R.str "-" in
@@ -162,7 +146,7 @@ let to_report r =
         (fun f ->
           R.row t
             [
-              R.str (seq_text f.input);
+              R.str (Seqspace.Xset.sequence_text f.input);
               R.str f.strategy_name;
               R.int f.seed;
               R.str (Format.asprintf "%a" Verdict.pp f.verdict);

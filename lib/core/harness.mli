@@ -55,10 +55,6 @@ val verify :
     earliest ones); the [failures_total] count and the [clean] verdict
     are unaffected, and {!to_report} notes the truncation. *)
 
-val verify_one :
-  Kernel.Protocol.t -> input:int list -> spec -> Verdict.t list
-(** All verdicts for a single input. *)
-
 val clean : report -> bool
 (** No failures and no audit violations at all. *)
 

@@ -164,6 +164,26 @@ let replay p ~input w =
 let relabel_witness eq pi w =
   { w with moves = List.map (Symm.relabel_move eq pi) w.moves }
 
+type confirmed = { outcome : outcome; replayed : bool; relabel_replayed : bool option }
+
+let swap01 = function 0 -> 1 | 1 -> 0 | d -> d
+
+let confirm ?depth ?max_states ?max_sends ?(relabel = true) p ~input () =
+  let outcome =
+    search ?depth ?max_states ?max_sends_per_sender:max_sends ?max_sends_per_receiver:max_sends
+      p ~input ()
+  in
+  match outcome with
+  | No_violation _ -> { outcome; replayed = false; relabel_replayed = None }
+  | Violation w ->
+      let relabel_replayed =
+        match p.Protocol.symmetry with
+        | Some eq when relabel ->
+            Some (replay p ~input:(Array.map swap01 input) (relabel_witness eq swap01 w))
+        | Some _ | None -> None
+      in
+      { outcome; replayed = replay p ~input w; relabel_replayed }
+
 (* ------------------------- reporting ------------------------- *)
 
 let margins s =
@@ -222,7 +242,7 @@ let sweep_report ?(title = "corrupted-start stabilisation sweep") s =
           Report.bool v.Verdict.safe;
           Report.bool v.Verdict.complete;
           Report.bool (v.Verdict.stabilised = Some true);
-          (match pt.tts with Some n -> Report.int n | None -> Report.str "-");
+          Report.opt_int pt.tts;
         ])
     s.points;
   let metrics =
@@ -238,8 +258,7 @@ let sweep_report ?(title = "corrupted-start stabilisation sweep") s =
             ("corrupted_starts", Report.int s.space_size);
             ("stabilised", Report.int s.stabilised);
             ("all_stabilised", Report.bool s.all_stabilised);
-            ( "worst_tts",
-              match s.worst_tts with Some n -> Report.int n | None -> Report.str "-" );
+            ("worst_tts", Report.opt_int s.worst_tts);
           ];
       }
   in
@@ -266,7 +285,7 @@ let sweep_report ?(title = "corrupted-start stabilisation sweep") s =
               Report.str label;
               Report.int n;
               Report.int st;
-              (match wt with Some t -> Report.int t | None -> Report.str "-");
+              Report.opt_int wt;
             ])
         rows)
     [ ("S", s_margin); ("R", r_margin) ];

@@ -108,6 +108,31 @@ val relabel_witness : Kernel.Symm.equivariance -> (int -> int) -> witness -> wit
     relabel-replayability contract: a witness found on input [x]
     replays to a real violation on [π(x)]. *)
 
+type confirmed = {
+  outcome : outcome;
+  replayed : bool;  (** the witness {!replay}s to a violation; [false] without one *)
+  relabel_replayed : bool option;
+      (** the witness relabelled by the permutation exchanging data
+          values 0 and 1 replays on the relabelled input; [None] without
+          a witness, without a declared equivariance, or under
+          [~relabel:false] *)
+}
+
+val confirm :
+  ?depth:int ->
+  ?max_states:int ->
+  ?max_sends:int ->
+  ?relabel:bool ->
+  Kernel.Protocol.t ->
+  input:int array ->
+  unit ->
+  confirmed
+(** {!search} with [max_sends] capping both sides, then the witness
+    checks: {!replay}, and unless [relabel] is [false] (default
+    [true]) relabel-replay through {!relabel_witness}.  Pass
+    [~relabel:false] for protocols whose perturb enumeration holds
+    literal data. *)
+
 val margins : sweep -> (string * int * int * int option) list * (string * int * int * int option) list
 (** Per-start marginal aggregates [(label, points, stabilised,
     worst_tts)], first grouped by sender start and then by receiver

@@ -89,7 +89,6 @@ let pp ppf t =
 
 let to_report t =
   let module R = Stdx.Report in
-  let opt_int = function Some v -> R.int v | None -> R.str "-" in
   let ok =
     all_good t
     && (match t.recovered with None -> true | Some r -> r)
@@ -107,8 +106,8 @@ let to_report t =
                ("deadlocked", R.bool t.deadlocked);
                ("steps", R.int t.steps);
                ("messages", R.int t.messages);
-               ("first_violation", opt_int t.first_violation);
-               ("completed_at", opt_int t.completed_at);
+               ("first_violation", R.opt_int t.first_violation);
+               ("completed_at", R.opt_int t.completed_at);
              ]
             @ (match t.recovered with None -> [] | Some r -> [ ("recovered", R.bool r) ])
             @ match t.stabilised with None -> [] | Some s -> [ ("stabilised", R.bool s) ]);

@@ -64,7 +64,7 @@ let report ?(within = 64) ?(max_steps = 200_000) ?(shrink_trials = 400) () =
           Report.bool v.Verdict.complete;
           Report.bool recovered;
           Report.bool expect;
-          (match o.Soak.ttr with Some s -> Report.int s | None -> Report.str "-");
+          Report.opt_int o.Soak.ttr;
         ])
     scenarios;
   (* Shrinker stage: a noisy three-event failing plan for the hybrid

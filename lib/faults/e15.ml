@@ -1,6 +1,5 @@
 module Report = Stdx.Report
 module Stab = Core.Stab
-module Protocol = Kernel.Protocol
 
 (* The Dolev-style contrast, executable: the indexed variant with
    absolute resync stabilises from every corrupted start (the sweep
@@ -12,34 +11,21 @@ module Protocol = Kernel.Protocol
    through the data symmetry, replayed again on the permuted input:
    it is a schedule, not a search artefact. *)
 
-let swap01 d = match d with 0 -> 1 | 1 -> 0 | d -> d
-
 let report ?(within = 256) ?(max_steps = 20_000) ?(depth = 64) ?(max_states = 200_000)
     ?(max_sends = 4) () =
   let stab_p = Protocols.Abp_stab.protocol ~domain:2 ~max_len:4 in
   let sweep_input = [| 0; 1; 1; 0 |] in
   let sweep = Stab.sweep stab_p ~input:sweep_input ~within ~max_steps ~seed:7 () in
   (* Adversarial half, same caps for both protocols. *)
-  let search p input =
-    Stab.search ~depth ~max_states ~max_sends_per_sender:max_sends
-      ~max_sends_per_receiver:max_sends p ~input ()
+  let confirm p = Stab.confirm ~depth ~max_states ~max_sends p ~input:[| 0; 1 |] () in
+  let abp = confirm (Protocols.Abp.protocol ~domain:2) in
+  let witness_found =
+    match abp.Stab.outcome with Stab.Violation _ -> true | Stab.No_violation _ -> false
   in
-  let abp = Protocols.Abp.protocol ~domain:2 in
-  let w_input = [| 0; 1 |] in
-  let abp_outcome = search abp w_input in
-  let witness_found, replayed, relabel_replayed =
-    match abp_outcome with
-    | Stab.Violation w ->
-        let replayed = Stab.replay abp ~input:w_input w in
-        let eq = Option.get abp.Protocol.symmetry in
-        let w' = Stab.relabel_witness eq swap01 w in
-        let relabel_replayed = Stab.replay abp ~input:(Array.map swap01 w_input) w' in
-        (true, replayed, relabel_replayed)
-    | Stab.No_violation _ -> (false, false, false)
-  in
-  let stab_outcome = search stab_p w_input in
+  let replayed = abp.Stab.replayed in
+  let relabel_replayed = abp.Stab.relabel_replayed = Some true in
   let stab_closed, stab_states =
-    match stab_outcome with
+    match (confirm stab_p).Stab.outcome with
     | Stab.No_violation { closed; states } -> (closed, states)
     | Stab.Violation _ -> (false, 0)
   in
@@ -50,10 +36,7 @@ let report ?(within = 256) ?(max_steps = 20_000) ?(depth = 64) ?(max_states = 20
         pairs =
           [
             ("abp-stab all stabilised", Report.bool sweep.Stab.all_stabilised);
-            ( "abp-stab worst tts",
-              match sweep.Stab.worst_tts with
-              | Some n -> Report.int n
-              | None -> Report.str "-" );
+            ("abp-stab worst tts", Report.opt_int sweep.Stab.worst_tts);
             ("abp-stab search closed, no violation", Report.bool stab_closed);
             ("abp-stab states explored", Report.int stab_states);
             ("abp witness found", Report.bool witness_found);
@@ -89,7 +72,7 @@ let report ?(within = 256) ?(max_steps = 20_000) ?(depth = 64) ?(max_states = 20
             heading = "abp-stab corrupted-start sweep";
             items = (Stab.sweep_report sweep).Report.items;
           }
-     :: Stab.outcome_items abp_outcome)
+     :: Stab.outcome_items abp.Stab.outcome)
 
 let () =
   Kernel.Registry.register_experiment ~id:"E15"

@@ -1,6 +1,5 @@
 module Report = Stdx.Report
 module Stab = Core.Stab
-module Protocol = Kernel.Protocol
 
 (* E15 established the stabilisation contrast for one protocol pair;
    E17 runs it across the bounded-counter families.  The positive
@@ -14,8 +13,6 @@ module Protocol = Kernel.Protocol
    in unary) yields a replayable violation witness, while stock
    Stenning — unbounded headers, forward-only acks — is the control
    that is safe from every corrupted start yet refuses to converge. *)
-
-let swap01 d = match d with 0 -> 1 | 1 -> 0 | d -> d
 
 (* The scaling input: the first [len] symbols cycling through the
    alphabet, so every domain value occurs once the length allows. *)
@@ -63,52 +60,6 @@ let curve ~within ~max_steps ~domains ~lens ~window =
         domains)
     families
 
-(* One stock victim: search its corrupted-root space, replay any
-   witness, and — when the family's perturb enumeration is
-   data-independent and it declares an equivariance — relabel-replay
-   it on the permuted input. *)
-type victim_row = {
-  v_family : string;
-  outcome : string;
-  found : bool;
-  replayed : bool;
-  relabel : string; (* "yes" | "no" | "n/a" *)
-}
-
-let run_victim ~depth ~max_states ~max_sends (v_family, p, input, relabelable) =
-  let outcome =
-    Stab.search ~depth ~max_states ~max_sends_per_sender:max_sends
-      ~max_sends_per_receiver:max_sends p ~input ()
-  in
-  match outcome with
-  | Stab.Violation w ->
-      let replayed = Stab.replay p ~input w in
-      let relabel =
-        if not relabelable then "n/a"
-        else
-          match p.Protocol.symmetry with
-          | None -> "n/a"
-          | Some eq ->
-              let w' = Stab.relabel_witness eq swap01 w in
-              if Stab.replay p ~input:(Array.map swap01 input) w' then "yes" else "no"
-      in
-      {
-        v_family;
-        outcome = Printf.sprintf "VIOLATION@%d from (%s, %s)" w.Stab.violation_depth
-            w.Stab.w_s_label w.Stab.w_r_label;
-        found = true;
-        replayed;
-        relabel;
-      }
-  | Stab.No_violation { closed; states } ->
-      {
-        v_family;
-        outcome = Printf.sprintf "%s (%d states)" (if closed then "closed" else "TRUNCATED") states;
-        found = false;
-        replayed = false;
-        relabel = "n/a";
-      }
-
 let report ?(within = 256) ?(max_steps = 20_000) ?(depth = 64) ?(max_states = 200_000)
     ?(max_sends = 4) ?(domains = [ 2; 3 ]) ?(lens = [ 2; 3; 4 ]) ?(window = 2) () =
   let points = curve ~within ~max_steps ~domains ~lens ~window in
@@ -132,7 +83,7 @@ let report ?(within = 256) ?(max_steps = 20_000) ?(depth = 64) ?(max_states = 20
           Report.int c.len;
           Report.int c.space;
           Report.int c.stabilised;
-          (match c.worst_tts with Some t -> Report.int t | None -> Report.str "-");
+          Report.opt_int c.worst_tts;
         ])
     points;
   let curves_ok = List.for_all (fun c -> c.all && c.worst_tts <> None) points in
@@ -154,7 +105,6 @@ let report ?(within = 256) ?(max_steps = 20_000) ?(depth = 64) ?(max_states = 20
       ("ladder", Protocols.Ladder.protocol ~xset ~drop_budget:1, [| 0; 1 |], false);
     ]
   in
-  let rows = List.map (run_victim ~depth ~max_states ~max_sends) victims in
   let vt =
     Report.table ~title:"corrupted-root witness search per stock family"
       [
@@ -164,29 +114,40 @@ let report ?(within = 256) ?(max_steps = 20_000) ?(depth = 64) ?(max_states = 20
         ("relabel-replayed", Report.Right);
       ]
   in
-  List.iter
-    (fun r ->
-      Report.row vt
-        [
-          Report.str r.v_family;
-          Report.str r.outcome;
-          Report.bool r.replayed;
-          Report.str r.relabel;
-        ])
-    rows;
-  let victims_ok =
-    List.for_all (fun r -> r.found && r.replayed && r.relabel <> "no") rows
+  (* Each stock victim: search its corrupted-root space, replay any
+     witness, and relabel-replay it where the family's perturb
+     enumeration is data-independent. *)
+  let victim_ok (family, p, input, relabel) =
+    let c = Stab.confirm ~depth ~max_states ~max_sends ~relabel p ~input () in
+    let outcome, found =
+      match c.Stab.outcome with
+      | Stab.Violation w ->
+          ( Printf.sprintf "VIOLATION@%d from (%s, %s)" w.Stab.violation_depth
+              w.Stab.w_s_label w.Stab.w_r_label,
+            true )
+      | Stab.No_violation { closed; states } ->
+          (Printf.sprintf "%s (%d states)" (if closed then "closed" else "TRUNCATED") states, false)
+    in
+    Report.row vt
+      [
+        Report.str family;
+        Report.str outcome;
+        Report.bool c.Stab.replayed;
+        Report.str
+          (match c.Stab.relabel_replayed with
+          | None -> "n/a"
+          | Some true -> "yes"
+          | Some false -> "no");
+      ];
+    found && c.Stab.replayed && c.Stab.relabel_replayed <> Some false
   in
+  let victims_ok = List.for_all Fun.id (List.map victim_ok victims) in
   (* The control: stock Stenning is safe from every corrupted start
      (the capped BFS closes clean) but does not converge (a corrupted
      cursor deadlocks the sweep's fair scheduler too). *)
   let stn = Protocols.Stenning.protocol ~domain:2 ~max_len:4 in
-  let stn_search =
-    Stab.search ~depth ~max_states ~max_sends_per_sender:max_sends
-      ~max_sends_per_receiver:max_sends stn ~input:input4 ()
-  in
   let stn_closed =
-    match stn_search with
+    match (Stab.confirm ~depth ~max_states ~max_sends stn ~input:input4 ()).Stab.outcome with
     | Stab.No_violation { closed; _ } -> closed
     | Stab.Violation _ -> false
   in

@@ -35,6 +35,13 @@ let active plan ~time ~dropped =
   in
   go 0 0 plan.Plan.events
 
+let verdict ~plan ~within result =
+  let last_fault = Plan.last_fault_time plan in
+  let v =
+    Core.Verdict.of_result result |> Core.Verdict.assess_recovery ~last_fault ~within
+  in
+  (v, Core.Verdict.time_to_recover ~last_fault v)
+
 let is_delivery target = function
   | Move.Deliver_to_receiver _ -> target = Plan.To_receiver
   | Move.Deliver_to_sender _ -> target = Plan.To_sender

@@ -20,6 +20,12 @@
 val strategy : plan:Plan.t -> base:Kernel.Strategy.t -> Kernel.Strategy.t
 (** The name is ["<base>+<plan>"]. *)
 
+val verdict :
+  plan:Plan.t -> within:int -> Kernel.Runner.result -> Core.Verdict.t * int option
+(** The run's verdict with recovery assessed [within] steps of the
+    plan's last fault ({!Core.Verdict.assess_recovery}), and its
+    time-to-recover ({!Core.Verdict.time_to_recover}). *)
+
 val active : Plan.t -> time:int -> dropped:(Plan.target -> int) -> Plan.event option
 (** The first event (in plan order) live at [time] — the dispatch rule
     [strategy] uses, exposed for tests.  [dropped] reports the

@@ -20,13 +20,9 @@ let session_of_case ~rng case =
   Kernel.Sched.session case.protocol ~input:case.input ~strategy ~rng
     ~max_steps:case.max_steps ()
 
-let outcome_of_result case (result : Kernel.Runner.result) =
-  let last_fault = Plan.last_fault_time case.plan in
-  let verdict =
-    Core.Verdict.of_result result
-    |> Core.Verdict.assess_recovery ~last_fault ~within:case.within
-  in
-  { case; verdict; ttr = Core.Verdict.time_to_recover ~last_fault verdict }
+let outcome_of_result case result =
+  let verdict, ttr = Inject.verdict ~plan:case.plan ~within:case.within result in
+  { case; verdict; ttr }
 
 let run_case ~rng case =
   match Core.Batch.run ~jobs:1 [ session_of_case ~rng case ] with
@@ -196,8 +192,6 @@ let rec chunks n = function
       let hd, rest = take n xs in
       hd :: chunks n rest
 
-let opt_int = function Some v -> Report.int v | None -> Report.str "-"
-
 let run ?jobs ?max_seconds ~seed cases =
   let jobs = match jobs with Some j -> j | None -> Core.Par.default_jobs () in
   let deadline = Stdx.Clock.deadline max_seconds in
@@ -273,7 +267,7 @@ let run ?jobs ?max_seconds ~seed cases =
           Report.bool v.Core.Verdict.complete;
           Report.bool (v.Core.Verdict.recovered = Some true);
           Report.int v.Core.Verdict.steps;
-          opt_int o.ttr;
+          Report.opt_int o.ttr;
         ])
     outcomes;
   let ttrs = List.filter_map (fun o -> Option.map float_of_int o.ttr) outcomes in

@@ -1,11 +1,1 @@
 type t = Send of int | Write of int
-
-let pp ppf = function
-  | Send m -> Format.fprintf ppf "send(%d)" m
-  | Write d -> Format.fprintf ppf "write(%d)" d
-
-let equal a b =
-  match (a, b) with
-  | Send m, Send n -> m = n
-  | Write d, Write e -> d = e
-  | (Send _ | Write _), _ -> false

@@ -7,6 +7,3 @@
 type t =
   | Send of int  (** message symbol from this process's alphabet *)
   | Write of int  (** data item appended to the output tape *)
-
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -58,12 +58,3 @@ let run trace =
   let backward = channel_report final.Global.chan_rs in
   let ok_of r = r.conserved && r.no_creation && r.discipline in
   { forward; backward; ok = ok_of forward && ok_of backward }
-
-let pp_report ppf r =
-  Format.fprintf ppf "sent=%d delivered=%d dropped=%d in-flight=%d debt=%d%s" r.sent r.delivered
-    r.dropped r.in_flight r.debt
-    (if r.conserved && r.no_creation && r.discipline then "" else " [VIOLATION]")
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>S->R: %a@,R->S: %a@,%s@]" pp_report t.forward pp_report t.backward
-    (if t.ok then "audit: ok" else "audit: MODEL VIOLATION")

@@ -38,5 +38,3 @@ type t = {
 }
 
 val run : Trace.t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -1,11 +1,1 @@
 type t = Wake | Deliver of int
-
-let pp ppf = function
-  | Wake -> Format.pp_print_string ppf "wake"
-  | Deliver m -> Format.fprintf ppf "deliver(%d)" m
-
-let equal a b =
-  match (a, b) with
-  | Wake, Wake -> true
-  | Deliver m, Deliver n -> m = n
-  | (Wake | Deliver _), _ -> false

@@ -9,6 +9,3 @@
 type t =
   | Wake
   | Deliver of int  (** message symbol from the peer's alphabet *)
-
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -6,19 +6,9 @@
     *exact* point universe for the truncated system. *)
 
 val iter_runs :
-  Protocol.t ->
-  input:int array ->
-  depth:int ->
-  ?move_filter:(Global.t -> Move.t -> bool) ->
-  ?max_runs:int ->
-  (Trace.t -> unit) ->
-  unit
-(** DFS enumerating every move sequence of length exactly [depth]
-    (runs that complete and quiesce earlier are emitted at their
-    natural length).  [move_filter] prunes adversary choices — e.g.
-    forbidding drops recovers the no-deletion subsystem.  Stops after
-    [max_runs] traces when given (a safety valve: the run count is
-    exponential in [depth]). *)
-
-val no_drops : Global.t -> Move.t -> bool
-(** The filter excluding deletion moves. *)
+  Protocol.t -> input:int array -> depth:int -> ?max_runs:int -> (Trace.t -> unit) -> unit
+(** DFS enumerating every move sequence {!Sim.enabled} offers, of
+    length exactly [depth] (runs that complete and quiesce earlier are
+    emitted at their natural length).  Stops after [max_runs] traces
+    when given (a safety valve: the run count is exponential in
+    [depth]). *)

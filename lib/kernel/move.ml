@@ -10,12 +10,6 @@ type t =
   | Corrupt_sender of int
   | Corrupt_receiver of int
 
-let is_receiver_visible = function
-  | Wake_receiver | Deliver_to_receiver _ | Restart_receiver | Corrupt_receiver _ -> true
-  | Wake_sender | Deliver_to_sender _ | Drop_to_receiver _ | Drop_to_sender _ | Restart_sender
-  | Corrupt_sender _ ->
-      false
-
 let pp ppf = function
   | Wake_sender -> Format.pp_print_string ppf "wake S"
   | Wake_receiver -> Format.pp_print_string ppf "wake R"

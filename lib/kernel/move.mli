@@ -30,11 +30,6 @@ type t =
           enumeration. *)
   | Corrupt_receiver of int
 
-val is_receiver_visible : t -> bool
-(** Moves the receiver can observe (its wake-ups and deliveries to
-    it).  The product attack search synchronises exactly these across
-    the two runs it steers. *)
-
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 val to_string : t -> string

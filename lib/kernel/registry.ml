@@ -54,6 +54,14 @@ let build_protocol ~name config =
   | Some e -> Result.bind (check_config config) (fun () -> e.p_build config)
   | None -> Error (Printf.sprintf "unknown protocol %S" name)
 
+let check_input c p input =
+  match Array.find_opt (fun s -> s < 0 || s >= c.domain) input with
+  | Some s -> Error (Printf.sprintf "input symbol %d is outside [0, %d)" s c.domain)
+  | None -> (
+      match p.Protocol.make_sender ~input with
+      | _ -> Ok ()
+      | exception Invalid_argument e -> Error e)
+
 let channel_forms () = [ "perfect"; "fifo-lossy"; "dup"; "del"; "lag:K" ]
 
 type experiment_entry = {

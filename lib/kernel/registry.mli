@@ -49,6 +49,13 @@ val build_protocol : name:string -> config -> (Protocol.t, string) result
     [drop_budget] at least 0, whatever the protocol reads), and when
     the protocol's own construction fails. *)
 
+val check_input : config -> Protocol.t -> int array -> (unit, string) result
+(** [Error] unless every symbol of the input lies in [\[0, domain)]
+    and the protocol (built from the config) agrees to build a sender
+    for it: a protocol refuses an input outside its allowable set, or
+    longer than its [max_len], with [Invalid_argument], whose message
+    becomes the error. *)
+
 (* ------------------------- channel kinds ------------------------- *)
 
 val channel_forms : unit -> string list

@@ -1,13 +1,13 @@
 module Explore = Kernel.Explore
 
-let universe p ~inputs ~depth ?move_filter ?max_runs_per_input () =
+let universe p ~inputs ~depth ?max_runs_per_input () =
   let traces = ref [] in
   let complete = ref true in
   List.iter
     (fun input ->
       let count = ref 0 in
-      Explore.iter_runs p ~input:(Array.of_list input) ~depth ?move_filter
-        ?max_runs:max_runs_per_input (fun trace ->
+      Explore.iter_runs p ~input:(Array.of_list input) ~depth ?max_runs:max_runs_per_input
+        (fun trace ->
           incr count;
           traces := trace :: !traces);
       match max_runs_per_input with

@@ -21,16 +21,14 @@ val universe :
   Kernel.Protocol.t ->
   inputs:int list list ->
   depth:int ->
-  ?move_filter:(Kernel.Global.t -> Kernel.Move.t -> bool) ->
   ?max_runs_per_input:int ->
   unit ->
   Universe.t * bool
 (** [universe p ~inputs ~depth ()] enumerates every schedule of length
-    [depth] for every input and pools all traces.  The boolean is
-    [true] when no [max_runs_per_input] cap was hit — i.e. the
-    universe really is exhaustive for the truncation.  [move_filter]
-    prunes adversary choices (e.g. {!Kernel.Explore.no_drops});
-    pruned universes are exact for the pruned system. *)
+    [depth] for every input ({!Kernel.Explore.iter_runs}) and pools
+    all traces.  The boolean is [true] when no [max_runs_per_input]
+    cap was hit — i.e. the universe really is exhaustive for the
+    truncation. *)
 
 val compare_with_sampled :
   Universe.t ->

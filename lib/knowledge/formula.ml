@@ -109,10 +109,11 @@ let common u phi =
   fun p -> tbl.(p.Universe.run).(p.Universe.time)
 
 let first_time u ~run phi =
+  let holds = tabulate u phi in
   let horizon = Kernel.Trace.length (Universe.traces u).(run) in
   let rec scan time =
     if time > horizon then None
-    else if eval u { Universe.run; time } phi then Some time
+    else if holds { Universe.run; time } then Some time
     else scan (time + 1)
   in
   scan 0

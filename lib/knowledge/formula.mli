@@ -45,7 +45,7 @@ val tabulate : Universe.t -> t -> Universe.point -> bool
 (** Bottom-up truth tables over every point of the universe: one class
     sweep per [Knows] level, so deep nesting stays linear in the
     universe instead of exponential.  Use this when evaluating the same
-    formula at many points (E11 scans whole runs). *)
+    formula at many points ({!first_time} scans whole runs). *)
 
 val common : Universe.t -> t -> Universe.point -> bool
 (** Common knowledge [C φ] between sender and receiver, computed
@@ -58,10 +58,11 @@ val common : Universe.t -> t -> Universe.point -> bool
     forever and its limit never arrives. *)
 
 val first_time : Universe.t -> run:int -> t -> int option
-(** Earliest time in the run at which the formula holds.  Nested
-    knowledge of stable facts is itself stable under the
-    complete-history interpretation, so this is well-defined for the
-    formulas the experiments use (no stability is assumed by the
-    search — it simply scans forward). *)
+(** Earliest time in the run at which the formula holds, scanned
+    forward over a {!tabulate} table (one class sweep per [Knows]
+    level, whatever the scan length).  Nested knowledge of stable
+    facts is itself stable under the complete-history
+    interpretation, so this is well-defined for the formulas the
+    experiments use (no stability is assumed by the search). *)
 
 val pp : Format.formatter -> t -> unit

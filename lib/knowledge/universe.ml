@@ -45,7 +45,28 @@ let of_traces trace_list =
   in
   { traces; view_keys; classes; s_view_keys; s_classes }
 
+let sample p ~xs ~strategies ~seeds ~max_steps ~post_roll =
+  of_traces
+    (List.concat_map
+       (fun x ->
+         List.concat_map
+           (fun strategy ->
+             List.map
+               (fun seed ->
+                 (Kernel.Runner.run p ~input:(Array.of_list x) ~strategy
+                    ~rng:(Stdx.Rng.create seed) ~max_steps ~post_roll ())
+                   .Kernel.Runner.trace)
+               (List.init seeds (fun i -> i + 1)))
+           strategies)
+       xs)
+
 let traces t = t.traces
+
+let runs_of t x =
+  let input = Array.of_list x in
+  List.filter
+    (fun run -> Trace.input t.traces.(run) = input)
+    (List.init (Array.length t.traces) Fun.id)
 
 let n_points t =
   Array.fold_left (fun acc keys -> acc + Array.length keys) 0 t.view_keys

@@ -24,7 +24,22 @@ val of_traces : Kernel.Trace.t list -> t
 (** Builds the universe and indexes every point of every trace by the
     receiver's view. *)
 
+val sample :
+  Kernel.Protocol.t ->
+  xs:int list list ->
+  strategies:Kernel.Strategy.t list ->
+  seeds:int ->
+  max_steps:int ->
+  post_roll:int ->
+  t
+(** A sampled universe: one {!Kernel.Runner.run} per input, per
+    strategy, per seed [s = 1 … seeds] (its rng [Stdx.Rng.create s]),
+    in that nesting order — run indices follow it. *)
+
 val traces : t -> Kernel.Trace.t array
+
+val runs_of : t -> int list -> int list
+(** The runs whose input is [x], ascending. *)
 
 val n_points : t -> int
 

@@ -62,7 +62,10 @@ let protocol_on channel ~domain ~max_len ~window =
     channel;
     make_sender =
       (fun ~input ->
-        assert (Array.length input <= max_len);
+        if Array.length input > max_len then
+          invalid_arg
+            (Printf.sprintf "gbn-stab: input length %d exceeds max_len %d" (Array.length input)
+               max_len);
         Proc.make ~state:{ input; domain; window; base = 0; cursor = 0 } ~step:sender_step ());
     make_receiver =
       (fun () ->

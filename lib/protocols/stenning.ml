@@ -39,7 +39,10 @@ let protocol_on channel ~domain ~max_len =
     channel;
     make_sender =
       (fun ~input ->
-        assert (Array.length input <= max_len);
+        if Array.length input > max_len then
+          invalid_arg
+            (Printf.sprintf "stenning: input length %d exceeds max_len %d" (Array.length input)
+               max_len);
         Proc.make ~state:{ input; domain; next = 0 } ~step:sender_step ());
     make_receiver = (fun () -> Proc.make ~state:{ r_domain = domain; got = 0 } ~step:receiver_step ());
     symmetry = None;

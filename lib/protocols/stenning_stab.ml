@@ -57,7 +57,10 @@ let protocol_on channel ~domain ~max_len =
     channel;
     make_sender =
       (fun ~input ->
-        assert (Array.length input <= max_len);
+        if Array.length input > max_len then
+          invalid_arg
+            (Printf.sprintf "stenning-stab: input length %d exceeds max_len %d" (Array.length input)
+               max_len);
         Proc.make ~state:{ input; domain; next = 0 } ~step:sender_step ());
     make_receiver =
       (fun () ->

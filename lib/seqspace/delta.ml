@@ -16,5 +16,3 @@ let deltas ~m ~c =
     ds.(l) <- B.mul ds.(l + 1) factor
   done;
   ds
-
-let delta0 ~m ~c = (deltas ~m ~c).(0)

@@ -19,7 +19,3 @@ val c_of_f : f:(int -> int) -> beta:int -> int
 val deltas : m:int -> c:int -> Stdx.Bignat.t array
 (** [deltas ~m ~c] is [[|δ_0; …; δ_m|]] for the given alphabet size and
     step budget.  [δ_m = c]. *)
-
-val delta0 : m:int -> c:int -> Stdx.Bignat.t
-(** [delta0 ~m ~c = (deltas ~m ~c).(0)], the number of hoarded copies
-    per message that suffices to start the induction. *)

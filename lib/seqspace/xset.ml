@@ -93,7 +93,6 @@ let distinct_non_prefix_pairs t =
   in
   pairs members
 
-let pp_sequence ppf x =
-  Format.fprintf ppf "<%a>"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ") Format.pp_print_int)
-    x
+let sequence_text x = "<" ^ String.concat " " (List.map string_of_int x) ^ ">"
+
+let pp_sequence ppf x = Format.pp_print_string ppf (sequence_text x)

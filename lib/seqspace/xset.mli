@@ -54,5 +54,8 @@ val distinct_non_prefix_pairs : t -> (int list * int list) list
     other — the pairs the impossibility proofs drive to a safety
     violation. *)
 
+val sequence_text : int list -> string
+(** Renders [\[1;0;2\]] as ["<1 0 2>"]. *)
+
 val pp_sequence : Format.formatter -> int list -> unit
-(** Renders [\[1;0;2\]] as ["⟨1 0 2⟩"]. *)
+(** Prints {!sequence_text}. *)

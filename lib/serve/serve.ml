@@ -89,15 +89,9 @@ let job_of_json ~index j =
     let* header_space = int_field j "header_space" ~default:d.Registry.header_space in
     let* drop_budget = int_field j "drop_budget" ~default:d.Registry.drop_budget in
     let* window = int_field j "window" ~default:d.Registry.window in
-    let* protocol =
-      Registry.build_protocol ~name:protocol_name
-        { Registry.channel; domain; max_len; header_space; drop_budget; window }
-    in
-    let* () =
-      match Array.find_opt (fun s -> s < 0 || s >= domain) input with
-      | Some s -> Error (Printf.sprintf "input symbol %d is outside [0, %d)" s domain)
-      | None -> Ok ()
-    in
+    let config = { Registry.channel; domain; max_len; header_space; drop_budget; window } in
+    let* protocol = Registry.build_protocol ~name:protocol_name config in
+    let* () = Registry.check_input config protocol input in
     let* strategy_name = str_field j "strategy" ~default:"fair-random" in
     let* base = Kernel.Strategy.of_string strategy_name in
     let* seed = int_field j "seed" ~default:1 in
@@ -193,21 +187,18 @@ let run_batch ?jobs ?timeslice batch =
   let results, stats = Core.Batch.run_stats ?jobs ?timeslice sessions in
   let outcomes =
     List.map2
-      (fun job (result : Kernel.Runner.result) ->
-        let verdict = Core.Verdict.of_result result in
-        match job.plan with
-        | None -> { job; result; verdict; ttr = None }
-        | Some plan ->
-            let last_fault = Faults.Plan.last_fault_time plan in
-            let verdict = Core.Verdict.assess_recovery ~last_fault ~within:job.within verdict in
-            { job; result; verdict; ttr = Core.Verdict.time_to_recover ~last_fault verdict })
+      (fun job result ->
+        let verdict, ttr =
+          match job.plan with
+          | None -> (Core.Verdict.of_result result, None)
+          | Some plan -> Faults.Inject.verdict ~plan ~within:job.within result
+        in
+        { job; result; verdict; ttr })
       batch results
   in
   (outcomes, stats)
 
 (* ------------------------- reports ------------------------- *)
-
-let opt_int = function Some v -> Report.int v | None -> Report.str "-"
 
 let results_report ~label outcomes =
   let n = List.length outcomes in
@@ -265,7 +256,7 @@ let results_report ~label outcomes =
           (match v.Core.Verdict.recovered with
           | None -> Report.str "-"
           | Some r -> Report.bool r);
-          opt_int o.ttr;
+          Report.opt_int o.ttr;
         ])
     outcomes;
   (* ok means "the batch drained": a job whose protocol loses is a

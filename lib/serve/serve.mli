@@ -51,8 +51,10 @@ val batch_of_json : Stdx.Json.t -> (job list, string) result
     objects.  Strict: any malformed job fails the whole batch with an
     error naming the job — a wrongly typed field, an unknown name, and
     a value out of range: a config field {!Kernel.Registry.build_protocol}
-    rejects, an input symbol outside [\[0, domain)], a [drop:P] outside
-    [\[0, 1\]], a negative ["max_seconds"].  See README for the
+    rejects, an input {!Kernel.Registry.check_input} rejects (a symbol
+    outside [\[0, domain)], or one the protocol will not build a sender
+    for), a [drop:P] outside [\[0, 1\]], a negative ["max_seconds"].
+    An accepted batch runs without raising.  See README for the
     field-by-field schema; everything except ["protocol"] and
     ["input"] has a default. *)
 

@@ -144,8 +144,6 @@ let of_string s =
     | None -> None
   end
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let factorial n =
   if n < 0 then invalid_arg "Bignat.factorial: negative";
   let rec go acc i = if i > n then acc else go (mul_int acc i) (i + 1) in

@@ -41,7 +41,5 @@ val of_string : string -> t option
     string.  [None] on anything else.  Leading zeros are accepted and
     normalised away. *)
 
-val pp : Format.formatter -> t -> unit
-
 val factorial : int -> t
 (** [factorial n] is [n!] for [n >= 0]. *)

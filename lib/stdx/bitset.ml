@@ -39,18 +39,6 @@ let add t i =
   end
   else false
 
-let remove t i =
-  if i < 0 then invalid_arg "Bitset.remove: negative index";
-  let byte = i lsr 3 in
-  if byte < Bytes.length t.words then begin
-    let bit = 1 lsl (i land 7) in
-    let w = Char.code (Bytes.unsafe_get t.words byte) in
-    if w land bit <> 0 then begin
-      Bytes.unsafe_set t.words byte (Char.unsafe_chr (w land lnot bit));
-      t.cardinal <- t.cardinal - 1
-    end
-  end
-
 let cardinal t = t.cardinal
 
 let clear t =

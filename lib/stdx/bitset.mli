@@ -24,10 +24,6 @@ val add : t -> int -> bool
     combined test-and-set the visited-set loops want.
     @raise Invalid_argument on a negative id. *)
 
-val remove : t -> int -> unit
-(** Delete [i] if present; no-op otherwise.
-    @raise Invalid_argument on a negative id. *)
-
 val cardinal : t -> int
 (** Number of members. *)
 

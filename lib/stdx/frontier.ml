@@ -85,8 +85,6 @@ let create ?(chunk_bytes = 8192) ?(mem_budget_bytes = 0) () =
 
 let is_empty t = t.len = 0
 
-let length t = t.len
-
 let resident_chunks t = 2 + t.pending_mem + t.free_n
 
 let note_resident t =

@@ -46,9 +46,6 @@ val create : ?chunk_bytes:int -> ?mem_budget_bytes:int -> unit -> t
 
 val is_empty : t -> bool
 
-val length : t -> int
-(** Number of ints currently queued. *)
-
 val push : t -> int -> unit
 
 val pop : t -> int

@@ -18,8 +18,6 @@ let remove t x =
   | Some 1 -> Some (IntMap.remove x t)
   | Some n -> Some (IntMap.add x (n - 1) t)
 
-let remove_all t x = IntMap.remove x t
-
 let support t = IntMap.fold (fun x _ acc -> x :: acc) t [] |> List.rev
 
 let cardinal t = IntMap.fold (fun _ n acc -> acc + n) t 0
@@ -31,10 +29,6 @@ let fold f t init = IntMap.fold f t init
 let union a b = IntMap.union (fun _ m n -> Some (m + n)) a b
 
 let leq a b = IntMap.for_all (fun x n -> n <= count b x) a
-
-let equal a b = IntMap.equal Int.equal a b
-
-let compare a b = IntMap.compare Int.compare a b
 
 let of_list xs = List.fold_left (fun t x -> add t x) empty xs
 

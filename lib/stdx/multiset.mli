@@ -23,9 +23,6 @@ val add : ?times:int -> t -> int -> t
 val remove : t -> int -> t option
 (** [remove t x] removes one copy of [x]; [None] when [count t x = 0]. *)
 
-val remove_all : t -> int -> t
-(** [remove_all t x] drops every copy of [x]. *)
-
 val support : t -> int list
 (** Distinct elements with positive multiplicity, ascending. *)
 
@@ -45,9 +42,6 @@ val union : t -> t -> t
 val leq : t -> t -> bool
 (** [leq a b] is pointwise [count a x <= count b x] — the sub-multiset
     order used to audit that deletion channels never create messages. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val of_list : int list -> t
 val to_list : t -> int list

@@ -36,6 +36,7 @@ let float ?(decimals = 2) value = Float { value; decimals }
 let bool b = Bool b
 let str s = String s
 let bignat b = Bignat b
+let opt_int = function Some n -> Int n | None -> String "-"
 
 let column ?unit_ ?(align = Left) header = { header; align; unit_ }
 

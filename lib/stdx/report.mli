@@ -68,6 +68,9 @@ val bool : bool -> cell
 val str : string -> cell
 val bignat : Bignat.t -> cell
 
+val opt_int : int option -> cell
+(** An int cell, or ["-"] for [None]. *)
+
 val column : ?unit_:string -> ?align:align -> string -> column
 
 val make : id:string -> title:string -> ?ok:bool -> ?notes:string list -> item list -> t

@@ -4,8 +4,6 @@ let create () = { buf = [||]; head = 0; len = 0 }
 
 let is_empty t = t.len = 0
 
-let length t = t.len
-
 let grow t x =
   let cap = Array.length t.buf in
   if cap = 0 then t.buf <- Array.make 16 x
@@ -35,8 +33,3 @@ let pop t =
   if t.len > 0 then t.buf.(t.head) <- t.buf.(head');
   t.head <- head';
   v
-
-let clear t =
-  t.head <- 0;
-  t.len <- 0;
-  t.buf <- [||]

@@ -11,7 +11,6 @@ type 'a t
 
 val create : unit -> 'a t
 val is_empty : 'a t -> bool
-val length : 'a t -> int
 
 val push : 'a t -> 'a -> unit
 (** Enqueue at the back; amortised O(1). *)
@@ -19,6 +18,3 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a
 (** Dequeue from the front.
     @raise Invalid_argument when empty. *)
-
-val clear : 'a t -> unit
-(** Drop all elements and the backing storage. *)

@@ -52,8 +52,6 @@ let summarize xs =
           p99 = percentile a 0.99;
         }
 
-let summarize_ints xs = summarize (List.map float_of_int xs)
-
 let histogram ~buckets xs =
   match (xs, buckets) with
   | [], _ | _, 0 -> []
@@ -70,7 +68,3 @@ let histogram ~buckets xs =
       List.init buckets (fun i ->
           let blo = lo +. (float_of_int i *. width) in
           (blo, blo +. width, counts.(i)))
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.2f sd=%.2f min=%.0f p50=%.1f p90=%.1f p99=%.1f max=%.0f"
-    s.n s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max

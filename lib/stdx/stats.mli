@@ -18,8 +18,6 @@ type summary = {
 val summarize : float list -> summary option
 (** [summarize xs] is [None] on the empty list. *)
 
-val summarize_ints : int list -> summary option
-
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in [\[0,1\]] over a sorted array,
     linear interpolation between ranks.  Requires a non-empty array. *)
@@ -31,5 +29,3 @@ val histogram : buckets:int -> float list -> (float * float * int) list
 (** [histogram ~buckets xs] is a list of [(lo, hi, count)] covering
     [\[min xs, max xs\]] with equal-width buckets.  Empty input gives
     the empty list. *)
-
-val pp_summary : Format.formatter -> summary -> unit

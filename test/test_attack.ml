@@ -465,10 +465,10 @@ let test_mem_budget_spill_exactness () =
   check Alcotest.bool "queued overflowed a chunk" true
     (s.Attack.Stats.peak_frontier_bytes > 8192)
 
-(* Every byte of the E1-E12 quick-mode tables and notes, pinned as MD5
-   digests recorded before the fault-injection layer landed: restart
-   moves, recovery verdicts, and the budget plumbing must be invisible
-   to every schedule that injects no fault.  E3's table digest was
+(* Every byte of the deterministic quick-mode tables and notes, pinned
+   as MD5 digests.  E1-E12 were recorded before the fault-injection
+   layer landed: restart moves, recovery verdicts, and the budget
+   plumbing must be invisible to every schedule that injects no fault.  E3's table digest was
    re-recorded once, when the starvation representative became
    admission-ordered (see test_e3_baseline): its norep-del + <0 0> cell
    reads depth 10 where the hash-table order gave 14. *)
@@ -486,6 +486,11 @@ let e_digests_pre =
     ("E10", "7e17aa20a57fda7be09add0375b3598c", "6d365baa712d46749a764bac92c7de3e");
     ("E11", "deb59a3f00a747e198e00cc2741d9c57", "5a71dcb87f87a265ed692f6ef3623aad");
     ("E12", "b3a05a9c8d937cd1e68d820f55588c14", "9541fe15645fcdac15abf15731a93845");
+    (* The deterministic fault and stabilisation reports.  E14 and E16
+       carry wall seconds and stay schema-gated. *)
+    ("E13", "7df8343ac2b7543cc97328e544afe101", "d33b5144b983a302351990508ff690f5");
+    ("E15", "66d7fc60170c84ece91545e5bbb846ba", "ec034c4c6360ebfcbb59e0f7ca50caa6");
+    ("E17", "7d7e56396d681118d0f27d7b52615fa4", "e74639f4479a1cd4955b0acddfcc5418");
   ]
 
 let test_experiment_digests () =

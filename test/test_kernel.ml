@@ -425,34 +425,6 @@ let test_explore_max_runs () =
   Explore.iter_runs p ~input:[| 1 |] ~depth:6 ~max_runs:10 (fun _ -> incr count);
   check Alcotest.int "capped" 10 !count
 
-let test_explore_no_drops_filter () =
-  let p = Protocols.Norep.del ~m:2 in
-  let saw_drop = ref false in
-  Explore.iter_runs p ~input:[| 0 |] ~depth:4 ~move_filter:Explore.no_drops ~max_runs:200
-    (fun trace ->
-      Array.iter
-        (function
-          | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> saw_drop := true
-          | Move.Wake_sender | Move.Wake_receiver | Move.Deliver_to_receiver _
-          | Move.Deliver_to_sender _ | Move.Restart_sender | Move.Restart_receiver
-          | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
-              ())
-        (Trace.moves trace));
-  check Alcotest.bool "filter removes drops" false !saw_drop
-
-let test_explore_dead_end_emitted () =
-  (* A move filter that refuses everything makes the initial state a
-     dead end: the enumeration must still emit that (empty) run rather
-     than silently produce nothing. *)
-  let p = tiny Chan.Perfect in
-  let traces = ref [] in
-  Explore.iter_runs p ~input:[| 1 |] ~depth:5
-    ~move_filter:(fun _ _ -> false)
-    (fun t -> traces := t :: !traces);
-  match !traces with
-  | [ t ] -> check Alcotest.int "empty run" 0 (Trace.length t)
-  | ts -> Alcotest.failf "expected exactly one dead-end trace, got %d" (List.length ts)
-
 (* The binary fingerprint must behave exactly like semantic equality
    of the fingerprinted components on states the engine visits: equal
    bytes iff equal (sender, receiver, channel contents, output length).
@@ -885,8 +857,6 @@ let () =
         [
           Alcotest.test_case "iter_runs" `Quick test_explore_iter_runs_counts;
           Alcotest.test_case "max_runs cap" `Quick test_explore_max_runs;
-          Alcotest.test_case "no_drops filter" `Quick test_explore_no_drops_filter;
-          Alcotest.test_case "dead end emitted" `Quick test_explore_dead_end_emitted;
           qtest prop_global_fingerprint_iff_components;
         ] );
     ]

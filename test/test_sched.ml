@@ -181,6 +181,74 @@ let test_shard_partition () =
         | _ -> n = 0))
     [ (1, 10); (3, 10); (4, 4); (7, 3); (2, 0); (5, 1) ]
 
+(* Well-typed one-job serve batches: a registry protocol, any channel
+   form, config fields and input symbols mostly in range with an
+   occasional value outside it, good and bad strategy spellings, and a
+   small step budget; each field may also be left to its default.  Job
+   specs are read before anything runs, so whatever the reader accepts
+   must run to an outcome: [batch_of_json] never raises, every
+   rejection names the job, and [run_batch] returns on every accepted
+   batch. *)
+let serve_job_gen =
+  let open QCheck.Gen in
+  let maybe key gen =
+    frequency [ (1, return []); (4, map (fun v -> [ (key, v) ]) gen) ]
+  in
+  let int_field ~lo ~hi =
+    map
+      (fun i -> Stdx.Json.Int i)
+      (frequency [ (9, int_range lo hi); (1, int_range (-2) (lo - 1)) ])
+  in
+  let* protocol = oneofl (Kernel.Registry.protocol_names ()) in
+  let* domain = frequency [ (9, int_range 1 3); (1, int_range (-1) 0) ] in
+  let* input =
+    list_size (int_range 0 5)
+      (frequency [ (19, int_range 0 (max 0 (domain - 1))); (1, oneofl [ -1; domain; 7 ]) ])
+  in
+  let* fields =
+    flatten_l
+      [
+        maybe "channel"
+          (map
+             (fun c -> Stdx.Json.String c)
+             (oneofl [ "perfect"; "fifo-lossy"; "dup"; "del"; "lag:0"; "lag:1"; "lag:2" ]));
+        return [ ("domain", Stdx.Json.Int domain) ];
+        maybe "max_len" (int_field ~lo:1 ~hi:4);
+        maybe "header_space" (int_field ~lo:1 ~hi:3);
+        maybe "drop_budget" (int_field ~lo:0 ~hi:2);
+        maybe "window" (int_field ~lo:1 ~hi:3);
+        maybe "strategy"
+          (map
+             (fun s -> Stdx.Json.String s)
+             (oneofl
+                [ "fair-random"; "round-robin"; "newest-first"; "dup-flood"; "drop:0.2";
+                  "drop-first:2"; "drop:1.5"; "drop:x"; "drop-first:-1"; "nope" ]));
+        maybe "seed" (map (fun i -> Stdx.Json.Int i) (int_range 0 9));
+        return [];
+      ]
+  in
+  let* max_steps = int_range 0 300 in
+  return
+    (Stdx.Json.Obj
+       ((("protocol", Stdx.Json.String protocol)
+        :: ("input", Stdx.Json.List (List.map (fun i -> Stdx.Json.Int i) input))
+        :: List.concat fields)
+       @ [ ("max_steps", Stdx.Json.Int max_steps) ]))
+
+let prop_serve_specs_run =
+  QCheck.Test.make ~name:"accepted serve specs run; rejected ones name the job" ~count:3000
+    (QCheck.make ~print:Stdx.Json.to_string serve_job_gen)
+    (fun job ->
+      match Serve.batch_of_json (Stdx.Json.List [ job ]) with
+      | exception e -> QCheck.Test.fail_reportf "batch_of_json raised %s" (Printexc.to_string e)
+      | Error e ->
+          String.starts_with ~prefix:"job 0: " e
+          || QCheck.Test.fail_reportf "rejection %S does not name the job" e
+      | Ok batch -> (
+          match Serve.run_batch ~jobs:1 batch with
+          | exception e -> QCheck.Test.fail_reportf "run_batch raised %s" (Printexc.to_string e)
+          | outcomes, _ -> List.length outcomes = 1))
+
 let () =
   Alcotest.run "sched"
     [
@@ -204,4 +272,5 @@ let () =
         ] );
       ( "sharding",
         [ Alcotest.test_case "shard partitions" `Quick test_shard_partition ] );
+      ("serve specs", [ QCheck_alcotest.to_alcotest prop_serve_specs_run ]);
     ]
