@@ -44,13 +44,13 @@ soak-smoke:
 # The serve daemon end to end: execute the committed example batch
 # (three clean jobs plus a fault-plan job), validate its artifact, and
 # pin the determinism contract — per-job results bit-identical across
-# job counts and timeslices.
+# job counts.
 serve-smoke:
 	dune build bin/stp_cli.exe
 	_build/default/bin/stp_cli.exe serve --once examples/serve_jobs.json --json _build/stp_serve_smoke.json > /dev/null
 	_build/default/bin/stp_cli.exe validate _build/stp_serve_smoke.json
 	_build/default/bin/stp_cli.exe serve --once examples/serve_jobs.json --results-only --jobs 1 --json _build/stp_serve_j1.json > /dev/null
-	_build/default/bin/stp_cli.exe serve --once examples/serve_jobs.json --results-only --jobs 4 --timeslice 7 --json _build/stp_serve_j4.json > /dev/null
+	_build/default/bin/stp_cli.exe serve --once examples/serve_jobs.json --results-only --jobs 4 --json _build/stp_serve_j4.json > /dev/null
 	cmp _build/stp_serve_j1.json _build/stp_serve_j4.json
 
 # The self-stabilisation gate: sweep every corrupted start of each

@@ -216,7 +216,7 @@ let soak_workload =
   fun () -> ignore (Faults.Soak.run ~jobs:1 ~seed:5 (Lazy.force cases))
 
 (* The self-stabilisation sweep end to end: every corrupted start of
-   the stabilising ABP as a scheduler session, stabilisation verdicts
+   the stabilising ABP as a session, stabilisation verdicts
    folded into a worst-case time-to-stabilise.  Sequential (jobs=1) so
    the number isolates the sweep engine, not the domain pool. *)
 let stab_sweep_workload =
@@ -242,12 +242,12 @@ let stab_sweep_ladder_workload =
       (Core.Stab.sweep ~jobs:1 (Lazy.force p) ~input:[| 0; 1 |] ~within:256 ~seed:7 ()
         : Core.Stab.sweep)
 
-(* The event-queue scheduler at batch scale: a 1k-session mixed
-   battery (three protocols × stateless strategies × split seeds)
-   timesliced through one queue.  Sessions are rebuilt every iteration
-   (a session is consumed by the run that retires it), so the number
-   is admit + timeslice + retire throughput, single-domain — the
-   per-shard work `stp serve` multiplies across the pool. *)
+(* Sessions at batch scale: a 1k-session mixed battery (three
+   protocols × stateless strategies × split seeds), each run to its
+   end by Sched.run on one domain.  Sessions are rebuilt every
+   iteration (a session owns its rng, which its run advances), so the
+   number is build + run throughput — the per-domain work `stp serve`
+   spreads across the pool. *)
 let sched_batch_workload =
   let abp = Protocols.Abp.protocol ~domain:2 in
   let norep = Protocols.Norep.del ~m:2 in
@@ -267,13 +267,13 @@ let sched_batch_workload =
           Kernel.Sched.session p ~input ~strategy ~rng:(Stdx.Rng.create (i + 1)) ~max_steps:100
             ())
     in
-    ignore (Kernel.Sched.run sessions : Kernel.Sched.result list)
+    ignore (List.map Kernel.Sched.run sessions : Kernel.Sched.result list)
 
 (* The serve request path end to end on the committed example batch
    (examples/serve_jobs.json, compiled in): JSON text to the
-   results-artifact text — parse, resolve, schedule every job, build
-   the report, print it.  The one micro that exercises the JSON reader
-   and the scheduler step together. *)
+   results-artifact text — parse, resolve, run every job's session,
+   build the report, print it.  The one micro that exercises the JSON
+   reader and the session step together. *)
 let serve_batch_workload () =
   let ok = function Ok v -> v | Error e -> failwith ("serve_batch: " ^ e) in
   let jobs = ok (Serve.batch_of_json (ok (Stdx.Json.parse Serve_jobs_text.text))) in

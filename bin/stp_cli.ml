@@ -15,8 +15,8 @@
      stab         corrupted-start stabilisation sweep over a protocol's
                   declared perturb space, optionally with the exact
                   corrupted-root witness search
-     serve        batch daemon over the event-queue scheduler: JSON job
-                  specs in, report artifacts + cumulative telemetry out
+     serve        batch daemon, one session per job: JSON job specs in,
+                  report artifacts + cumulative telemetry out
      validate     check a --json artifact against the report schema
                   (exits non-zero when any report carries ok=false)
 
@@ -428,14 +428,20 @@ let knowledge_cmd =
 
 let verify_run protocol config seeds max_steps max_failures jobs json =
   let* p = Registry.build_protocol ~name:protocol config in
-  let xs =
+  let candidates =
     if protocol = "norep" then Seqspace.Norep.enumerate ~m:config.Registry.domain
     else
       Seqspace.Xset.to_list
         (Seqspace.Xset.All_upto
            { domain = config.Registry.domain; max_len = config.Registry.max_len })
   in
-  let* () = check_inputs config p xs in
+  (* The protocol's own allowable set: the candidates it accepts. *)
+  let xs =
+    List.filter
+      (fun x -> Result.is_ok (Registry.check_input config p (Array.of_list x)))
+      candidates
+  in
+  let* () = if xs = [] then check_inputs config p candidates else Ok () in
   let spec = Core.Harness.default_spec ~max_steps ~n_seeds:seeds () in
   let report = Core.Harness.verify p ~xs ?max_failures ~jobs spec in
   Format.printf "%a@." Core.Harness.pp_report report;
@@ -676,8 +682,7 @@ let stab_cmd =
 
 (* ---------------- serve ---------------- *)
 
-let serve_run once spool jobs timeslice results_only poll_seconds max_batches idle_exit format
-    json =
+let serve_run once spool jobs results_only poll_seconds max_batches idle_exit format json =
   match (once, spool) with
   | None, None | Some _, Some _ ->
       `Error (true, "serve needs exactly one of --once FILE or --spool DIR")
@@ -685,7 +690,7 @@ let serve_run once spool jobs timeslice results_only poll_seconds max_batches id
       (* Drain one batch file and exit: the cram-testable path. *)
       let* batch = Result.map_error (Printf.sprintf "%s: %s" path) (Serve.load_batch path) in
       let t0 = Stdx.Clock.now () in
-      let outcomes, stats = Serve.run_batch ~jobs ~timeslice batch in
+      let outcomes, stats = Serve.run_batch ~jobs batch in
       let telemetry =
         Serve.observe Serve.telemetry_zero stats ~wall_seconds:(Stdx.Clock.now () -. t0)
       in
@@ -697,7 +702,7 @@ let serve_run once spool jobs timeslice results_only poll_seconds max_batches id
       `Ok ()
   | None, Some dir ->
       let* telemetry =
-        Serve.spool ~jobs ~timeslice ~poll_seconds ?max_batches ?idle_exit ~dir ()
+        Serve.spool ~jobs ~poll_seconds ?max_batches ?idle_exit ~dir ()
       in
       print_string (Report.to_text (Serve.telemetry_report telemetry));
       `Ok ()
@@ -708,7 +713,7 @@ let serve_cmd =
       value
       & opt (some string) None
       & info [ "once" ] ~docv:"FILE"
-          ~doc:"Execute one JSON batch file as a scheduler batch, emit its artifact, and exit.")
+          ~doc:"Execute one JSON batch file, emit its artifact, and exit.")
   in
   let spool =
     Arg.(
@@ -719,15 +724,6 @@ let serve_cmd =
             "Run as a daemon: poll $(docv) for $(b,*.json) batch files, execute each, write \
              $(b,<name>.report.json) beside it (with cumulative telemetry), and rename the \
              input to $(b,<name>.json.done).")
-  in
-  let timeslice =
-    Arg.(
-      value
-      & opt int Kernel.Sched.default_timeslice
-      & info [ "timeslice" ]
-          ~doc:
-            "Simulation steps one session may take per scheduler tick.  Results are identical \
-             at every value; this only tunes fairness granularity.")
   in
   let results_only =
     Arg.(
@@ -757,13 +753,12 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Timeslice many sessions per domain behind a batch daemon: read JSON job specs \
-          (protocol x channel x plan x budget), execute them on the event-queue scheduler \
-          sharded over --jobs domains, and stream report-IR artifacts with cumulative \
-          telemetry.")
+         "Serve batches of sessions behind a daemon: read JSON job specs (protocol x \
+          channel x plan x budget), run each job's session to its end over --jobs domains, \
+          and stream report-IR artifacts with cumulative telemetry.")
     Term.(
       ret
-        (const serve_run $ once $ spool $ jobs_arg $ timeslice $ results_only $ poll_seconds
+        (const serve_run $ once $ spool $ jobs_arg $ results_only $ poll_seconds
        $ max_batches $ idle_exit $ format_arg $ json_arg))
 
 (* ---------------- validate ---------------- *)

@@ -9,10 +9,9 @@ type measurement = {
 }
 
 let measure p ~xs ~strategy ~seeds ~max_steps ?(post_roll = 40) ?jobs () =
-  (* Each (input, seed) run is an independent scheduler session — own
-     rng, stateless strategy — so the simulation sweep runs as one
-     batch sharded over domains; the universe build below stays
-     sequential. *)
+  (* Each (input, seed) run is an independent session — own rng,
+     stateless strategy — so the simulation sweep is one batch mapped
+     over domains; the universe build below stays sequential. *)
   let cells = List.concat_map (fun input -> List.map (fun seed -> (input, seed)) seeds) xs in
   let sessions =
     List.map
@@ -25,7 +24,7 @@ let measure p ~xs ~strategy ~seeds ~max_steps ?(post_roll = 40) ?jobs () =
     List.map2
       (fun (input, _) (r : Runner.result) -> (input, r.Runner.trace))
       cells
-      (Batch.run ?jobs sessions)
+      (Par.map ?jobs Kernel.Sched.run sessions)
   in
   let universe = Knowledge.Universe.of_traces (List.map snd runs) in
   List.mapi

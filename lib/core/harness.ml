@@ -35,7 +35,7 @@ type report = {
 }
 
 let verify (p : Kernel.Protocol.t) ~xs ?max_failures ?(jobs = 1) spec =
-  (* All (input, strategy, seed) cells become one scheduler batch; the
+  (* All (input, strategy, seed) cells become one batch of sessions; the
      fold below walks the results in the historical nested-loop order,
      so counts, stats, and the chronological failure list are
      unchanged.  [jobs] defaults to 1 (not [STP_JOBS]) because
@@ -56,7 +56,7 @@ let verify (p : Kernel.Protocol.t) ~xs ?max_failures ?(jobs = 1) spec =
           ~rng:(Stdx.Rng.create seed) ~max_steps:spec.max_steps ())
       cells
   in
-  let results = Batch.run ~jobs sessions in
+  let results = Par.map ~jobs Kernel.Sched.run sessions in
   let runs = ref 0 and safe = ref 0 and complete = ref 0 and audit_bad = ref 0 in
   (* Failures are kept in chronological order; [max_failures] caps how
      many are *stored* (the earliest ones), never how many are

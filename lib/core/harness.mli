@@ -45,10 +45,10 @@ type report = {
 
 val verify :
   Kernel.Protocol.t -> xs:int list list -> ?max_failures:int -> ?jobs:int -> spec -> report
-(** Every input × strategy × seed, executed as one {!Batch} of
-    scheduler sessions; results are folded in the historical
-    chronological order, so the report is bit-identical at every
-    [jobs] count.  [jobs] defaults to 1 — {e not} [STP_JOBS] — because
+(** Every input × strategy × seed, executed as one batch of sessions
+    ([Par.map ~jobs Kernel.Sched.run]); results are folded in the
+    historical chronological order, so the report is bit-identical at
+    every [jobs] count.  [jobs] defaults to 1 — {e not} [STP_JOBS] — because
     {!Census} runs verify from inside a [Par.map] task and batches do
     not nest; pass [~jobs] explicitly (the CLI's [--jobs]) to fan out.
     [max_failures] caps how many failure records are retained (the

@@ -1,13 +1,14 @@
 (** Multicore fan-out for the embarrassingly parallel outer loops.
 
     The sweeps this repo runs — {!Attack.search} over input pairs,
-    {!Census.run} over sampled protocols, {!Bounds.measure} and
-    {!Proba.estimate} over seeded schedules — are lists of independent
-    pure tasks.  [Par.map] distributes such a list over OCaml 5
-    domains: a shared atomic cursor hands out indices, each worker
-    writes results into its own slots, and the caller gets the results
-    back in input order, so every job count produces the identical
-    value (the jobs=1 vs jobs=4 census-equality test pins this down).
+    {!Census.run} over sampled protocols, and every batch of
+    {!Kernel.Sched} sessions ([Par.map ?jobs Kernel.Sched.run]) — are
+    lists of independent pure tasks.  [Par.map] distributes such a
+    list over OCaml 5 domains: a shared atomic cursor hands out
+    indices, each worker writes results into its own slots, and the
+    caller gets the results back in input order, so every job count
+    produces the identical value (the jobs=1 vs jobs=4
+    census-equality test pins this down).
 
     Tasks must not share mutable state: each attack search owns its
     tables, each simulated run owns its {!Stdx.Rng.t}, and the

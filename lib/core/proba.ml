@@ -35,11 +35,11 @@ let of_counts ~trials ~safety_failures ~liveness_failures =
   }
 
 let estimate p ~input ~strategy ~trials ~max_steps ?(seed = 1) ?(post_roll = 25) ?jobs () =
-  (* One scheduler session per trial.  The post-roll keeps each run
+  (* One session per trial.  The post-roll keeps each run
      alive past completion: stale deliveries that overshoot the output
      tape are failures too, and stopping at the first complete state
      would hide them.  Trials are seeded independently by index, so
-     the batch shards over domains with bit-identical counts. *)
+     the batch maps over domains with bit-identical counts. *)
   let sessions =
     List.init trials (fun i ->
         Kernel.Sched.session p ~input:(Array.of_list input) ~strategy
@@ -52,7 +52,7 @@ let estimate p ~input ~strategy ~trials ~max_steps ?(seed = 1) ?(post_roll = 25)
     else if Trace.completed_at trace = None then `Liveness
     else `Ok
   in
-  let outcomes = List.map classify (Batch.run ?jobs sessions) in
+  let outcomes = List.map classify (Par.map ?jobs Kernel.Sched.run sessions) in
   let count k = List.length (List.filter (( = ) k) outcomes) in
   of_counts ~trials ~safety_failures:(count `Safety) ~liveness_failures:(count `Liveness)
 

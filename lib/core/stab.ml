@@ -42,7 +42,7 @@ type sweep = {
   points : point list;
 }
 
-let sweep ?jobs ?timeslice ?(strategy = Strategy.round_robin) ?(max_steps = 20_000) p ~input
+let sweep ?jobs ?(strategy = Strategy.round_robin) ?(max_steps = 20_000) p ~input
     ~within ~seed () =
   let pairs = space p ~input in
   let sessions =
@@ -53,7 +53,7 @@ let sweep ?jobs ?timeslice ?(strategy = Strategy.round_robin) ?(max_steps = 20_0
           ~max_steps ~corrupt_sender:s.Protocol.proc ~corrupt_receiver:r.Protocol.proc ())
       pairs
   in
-  let results = Batch.run ?jobs ?timeslice sessions in
+  let results = Par.map ?jobs Sched.run sessions in
   let points =
     List.map2
       (fun (s, r) result ->

@@ -5,8 +5,8 @@
     machines boot in {e arbitrary} local states and how fast.  This
     module makes the question executable against a protocol's declared
     {!Kernel.Protocol.perturb} enumeration: {!sweep} runs every
-    corrupted-start pair as a scheduler session over {!Batch} (exact,
-    bit-identical at every job count) and folds per-point
+    corrupted-start pair as a session, mapped over the domain pool
+    (exact, bit-identical at every job count) and folds per-point
     {!Verdict.assess_stabilisation} verdicts into a worst-case
     time-to-stabilise; {!search} does the adversarial half, a
     single-run BFS rooted at {e every} corruption simultaneously that
@@ -43,7 +43,6 @@ type sweep = {
 
 val sweep :
   ?jobs:int ->
-  ?timeslice:int ->
   ?strategy:Kernel.Strategy.t ->
   ?max_steps:int ->
   Kernel.Protocol.t ->
@@ -54,9 +53,9 @@ val sweep :
   sweep
 (** Run one session per corrupted-start pair (rng [Rng.split seed i]
     per point, round-robin strategy by default) and assess
-    stabilisation within [within] steps of the start.  Results are
-    bit-identical at every [jobs]/[timeslice] by the {!Batch}
-    determinism contract. *)
+    stabilisation within [within] steps of the start.  The sessions run
+    as [Par.map ?jobs Kernel.Sched.run], so results are bit-identical
+    at every [jobs] by the {!Kernel.Sched} determinism contract. *)
 
 type witness = {
   w_s_label : string;

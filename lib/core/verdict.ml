@@ -47,7 +47,7 @@ let assess_recovery ~last_fault ~within t =
      fault itself. *)
   let recovered =
     t.safe && t.complete && last_fault <= t.steps
-    && match t.completed_at with Some c -> c <= last_fault + within | None -> false
+    && match t.completed_at with Some c -> c - last_fault <= within | None -> false
   in
   { t with recovered = Some recovered }
 

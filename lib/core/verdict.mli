@@ -33,7 +33,8 @@ val all_good : t -> bool
 val assess_recovery : last_fault:int -> within:int -> t -> t
 (** The §5 recovery notion made executable: the run {e recovered} when
     it stayed safe, completed, and did so within [within] steps of the
-    last injected fault ([completed_at <= last_fault + within]).
+    last injected fault ([completed_at - last_fault <= within], which
+    cannot overflow for any [within]).
     Returns the verdict with [recovered = Some _].  A [last_fault]
     beyond the trace end ([> steps]) yields [Some false], not a
     vacuous pass — the claimed fault never landed inside the run;

@@ -20,10 +20,14 @@ type t = { name : string; events : event list }
    lands on the next in-flight copy instead of silently missing. *)
 let drop_grace = 8
 
+(* [a + b], held at [max_int] instead of wrapping: a burst of
+   [max_int] steps then lasts the whole run, like one of a thousand. *)
+let add_sat a b = if b > 0 && a > max_int - b then max_int else a + b
+
 let window = function
-  | Drop_burst { at; count; _ } -> (at, at + count - 1 + drop_grace)
-  | Dup_burst { at; count; _ } -> (at, at + count - 1)
-  | Reorder_storm { at; len } | Blackout { at; len } -> (at, at + len - 1)
+  | Drop_burst { at; count; _ } -> (at, add_sat (add_sat at (count - 1)) drop_grace)
+  | Dup_burst { at; count; _ } -> (at, add_sat at (count - 1))
+  | Reorder_storm { at; len } | Blackout { at; len } -> (at, add_sat at (len - 1))
   | Crash_restart { at; _ } | Corrupt_state { at; _ } -> (at, at)
 
 let last_fault_time t =

@@ -51,7 +51,9 @@ val drop_grace : int
 
 val window : event -> int * int
 (** [window e] is the inclusive time span [(first, last)] the event is
-    active in; for {!Drop_burst} the span includes {!drop_grace}. *)
+    active in; for {!Drop_burst} the span includes {!drop_grace}.
+    [last] saturates at [max_int], so a huge count or length keeps the
+    event active to the end of any run. *)
 
 val last_fault_time : t -> int
 (** The last step at which any event of the plan is active; [0] for

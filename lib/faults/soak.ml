@@ -25,9 +25,7 @@ let outcome_of_result case result =
   { case; verdict; ttr }
 
 let run_case ~rng case =
-  match Core.Batch.run ~jobs:1 [ session_of_case ~rng case ] with
-  | [ r ] -> outcome_of_result case r
-  | _ -> assert false
+  outcome_of_result case (Kernel.Sched.run (session_of_case ~rng case))
 
 (* ------------------------- batteries ------------------------- *)
 
@@ -193,7 +191,6 @@ let rec chunks n = function
       hd :: chunks n rest
 
 let run ?jobs ?max_seconds ~seed cases =
-  let jobs = match jobs with Some j -> j | None -> Core.Par.default_jobs () in
   let deadline = Stdx.Clock.deadline max_seconds in
   let indexed = List.mapi (fun i c -> (i, c)) cases in
   let base = Rng.create seed in
@@ -202,8 +199,8 @@ let run ?jobs ?max_seconds ~seed cases =
       (fun (acc, skipped) chunk ->
         if deadline () then (acc, skipped + List.length chunk)
         else begin
-          (* Each chunk is one scheduler batch sharded over the domain
-             pool; per-case [Rng.split] streams keep the results
+          (* Each chunk is one batch of sessions mapped over the
+             domain pool; per-case [Rng.split] streams keep the results
              bit-identical at every job count. *)
           let sessions =
             List.map (fun (i, c) -> session_of_case ~rng:(Rng.split base i) c) chunk
@@ -212,7 +209,7 @@ let run ?jobs ?max_seconds ~seed cases =
             List.map2
               (fun (_, c) r -> outcome_of_result c r)
               chunk
-              (Core.Batch.run ~jobs sessions)
+              (Core.Par.map ?jobs Kernel.Sched.run sessions)
           in
           (acc @ results, skipped)
         end)

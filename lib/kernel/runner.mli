@@ -1,10 +1,8 @@
 (** Run driver: one protocol, one input, one strategy, one trace.
 
-    Since the scheduler refactor this is a thin single-session wrapper
-    over {!Sched}: [run] admits exactly one session and drains the
-    queue, so its traces are byte-identical to the historical
-    monolithic loop, and batch engines that want many concurrent runs
-    use {!Sched} (or [Core.Batch]) directly. *)
+    The labelled-argument front of {!Sched.run}: [run] builds one
+    session and runs it to its stop.  Batch engines build session
+    lists and map {!Sched.run} over them. *)
 
 type stop_reason = Sched.stop_reason =
   | Completed  (** the whole input was written and the post-roll ran out *)

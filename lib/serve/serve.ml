@@ -103,6 +103,7 @@ let job_of_json ~index j =
       else Error "\"max_seconds\" must be at least 0"
     in
     let* within = int_field j "within" ~default:64 in
+    let* () = if within >= 0 then Ok () else Error "\"within\" must be at least 0" in
     let* plan =
       match Json.member "plan" j with
       | None -> Ok None
@@ -175,7 +176,7 @@ let load_batch path =
 
 (* ------------------------- execution ------------------------- *)
 
-let run_batch ?jobs ?timeslice batch =
+let run_batch ?jobs batch =
   let sessions =
     List.map
       (fun j ->
@@ -184,7 +185,7 @@ let run_batch ?jobs ?timeslice batch =
           ~post_roll:j.post_roll ())
       batch
   in
-  let results, stats = Core.Batch.run_stats ?jobs ?timeslice sessions in
+  let results = Core.Par.map ?jobs Sched.run sessions in
   let outcomes =
     List.map2
       (fun job result ->
@@ -196,7 +197,7 @@ let run_batch ?jobs ?timeslice batch =
         { job; result; verdict; ttr })
       batch results
   in
-  (outcomes, stats)
+  (outcomes, Sched.stats_of results)
 
 (* ------------------------- reports ------------------------- *)
 
@@ -329,7 +330,7 @@ let write_file path contents =
       Out_channel.output_char oc '\n');
   Sys.rename tmp path
 
-let spool ?jobs ?timeslice ?(poll_seconds = 0.5) ?max_batches ?idle_exit ~dir () =
+let spool ?jobs ?(poll_seconds = 0.5) ?max_batches ?idle_exit ~dir () =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (Printf.sprintf "%s: not a directory" dir)
   else begin
@@ -363,7 +364,7 @@ let spool ?jobs ?timeslice ?(poll_seconds = 0.5) ?max_batches ?idle_exit ~dir ()
               (match max_batches with Some m when !batches >= m -> stop := true | _ -> ())
           | Ok batch ->
               let t0 = Stdx.Clock.now () in
-              let outcomes, stats = run_batch ?jobs ?timeslice batch in
+              let outcomes, stats = run_batch ?jobs batch in
               telemetry := observe !telemetry stats ~wall_seconds:(Stdx.Clock.now () -. t0);
               let results = results_report ~label:f outcomes in
               let out = Filename.chop_suffix path ".json" ^ ".report.json" in

@@ -1,18 +1,19 @@
 (** The [stp serve] batch service: JSON job specs in, report-IR
-    artifacts out, over the {!Kernel.Sched} event-queue core.
+    artifacts out, over {!Kernel.Sched} sessions.
 
-    A {e job} is one scheduler session described as data: protocol ×
+    A {e job} is one session described as data: protocol ×
     channel × input × strategy × seed × budgets, plus an optional
     fault plan (validated against the channel's capabilities and
     compiled through {!Faults.Inject}).  A {e batch} is a JSON file of
-    jobs; executing it builds one session per job, shards them over
-    the domain pool via [Core.Batch], and renders two reports:
+    jobs; executing it builds one session per job, maps
+    {!Kernel.Sched.run} over them on the domain pool ({!Core.Par.map}),
+    and renders two reports:
 
     - [serve] — per-job verdicts (stop reason, steps, safety,
       completeness, recovery), fully deterministic: bit-identical at
-      every [--jobs] count and timeslice;
-    - [serve-telemetry] — the cumulative scheduler counters (sessions
-      served, steps, ticks, peak queue depth, stop-reason histogram)
+      every [--jobs] count;
+    - [serve-telemetry] — the cumulative session counters (sessions
+      served, steps, ticks, largest batch, stop-reason histogram)
       plus wall-clock throughput, as a typed {!Stdx.Report} section.
       Clock-derived numbers vary run to run, which is why telemetry
       lives in its own report: the determinism pin compares
@@ -53,7 +54,8 @@ val batch_of_json : Stdx.Json.t -> (job list, string) result
     a value out of range: a config field {!Kernel.Registry.build_protocol}
     rejects, an input {!Kernel.Registry.check_input} rejects (a symbol
     outside [\[0, domain)], or one the protocol will not build a sender
-    for), a [drop:P] outside [\[0, 1\]], a negative ["max_seconds"].
+    for), a [drop:P] outside [\[0, 1\]], a negative ["max_seconds"] or
+    ["within"].
     An accepted batch runs without raising.  See README for the
     field-by-field schema; everything except ["protocol"] and
     ["input"] has a default. *)
@@ -61,10 +63,11 @@ val batch_of_json : Stdx.Json.t -> (job list, string) result
 val load_batch : string -> (job list, string) result
 (** Read and parse a batch file. *)
 
-val run_batch :
-  ?jobs:int -> ?timeslice:int -> job list -> outcome list * Kernel.Sched.stats
-(** Execute the batch as scheduler sessions sharded over the pool.
-    Outcomes are in job order and independent of [jobs]/[timeslice]. *)
+val run_batch : ?jobs:int -> job list -> outcome list * Kernel.Sched.stats
+(** Execute the batch as [Core.Par.map ?jobs Kernel.Sched.run] over one
+    session per job.  Outcomes are in job order and independent of
+    [jobs]; the stats are {!Kernel.Sched.stats_of} the results, so
+    they are too. *)
 
 (* ------------------------- reports ------------------------- *)
 
@@ -81,8 +84,9 @@ val observe : telemetry -> Kernel.Sched.stats -> wall_seconds:float -> telemetry
 (** Fold one executed batch into the running totals. *)
 
 val telemetry_report : telemetry -> Stdx.Report.t
-(** Id ["serve-telemetry"]: a [telemetry] section with the scheduler
-    counters, queue depth, stop-reason histogram, and steps/sec. *)
+(** Id ["serve-telemetry"]: a [telemetry] section with the session
+    counters (its [peak_queue_depth] row is the largest batch), the
+    stop-reason histogram, and steps/sec. *)
 
 val artifact : ?results_only:bool -> results:Stdx.Report.t -> telemetry:Stdx.Report.t -> unit -> Stdx.Json.t
 (** The report-set artifact a batch emits; [results_only] drops the
@@ -93,7 +97,6 @@ val artifact : ?results_only:bool -> results:Stdx.Report.t -> telemetry:Stdx.Rep
 
 val spool :
   ?jobs:int ->
-  ?timeslice:int ->
   ?poll_seconds:float ->
   ?max_batches:int ->
   ?idle_exit:float ->

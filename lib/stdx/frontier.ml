@@ -7,12 +7,13 @@
    is a zigzag varint appended to the current write chunk (typically
    1–2 bytes for interned ids); exhausted read chunks are reset and
    recycled as future write chunks, so a search's whole frontier
-   traffic reuses a handful of fixed buffers.
+   traffic reuses a handful of fixed buffers.  Full chunks wait in a
+   [Stdlib.Queue]; it sees one push per chunk, not per id.
 
    Spill mode makes the FIFO memory-oblivious: when keeping one more
    chunk resident would exceed [mem_budget_bytes], the full write
    chunk's bytes are appended to an anonymous temp file instead and a
-   [Disk] marker takes its place in the pending ring.  Because chunks
+   [Disk] marker takes its place in the pending queue.  Because chunks
    are written and consumed in strict FIFO order the file is purely
    sequential in both directions, and because a varint never straddles
    a chunk boundary (the rotation check runs before each append) a
@@ -37,7 +38,7 @@ type t = {
   mutable rd : Codec.t;  (* chunk being consumed *)
   mutable rpos : int;  (* read offset into [rd] *)
   mutable wr : Codec.t;  (* chunk being filled; always distinct from [rd] *)
-  pending : entry Ring.t;  (* full chunks between [rd] and [wr] *)
+  pending : entry Queue.t;  (* full chunks between [rd] and [wr] *)
   mutable pending_mem : int;  (* [Mem] entries currently in [pending] *)
   mutable free : Codec.t list;  (* drained chunks awaiting reuse *)
   mutable free_n : int;
@@ -68,7 +69,7 @@ let create ?(chunk_bytes = 8192) ?(mem_budget_bytes = 0) () =
     rd = Codec.create ~size:chunk_cap ();
     rpos = 0;
     wr = Codec.create ~size:chunk_cap ();
-    pending = Ring.create ();
+    pending = Queue.create ();
     pending_mem = 0;
     free = [];
     free_n = 0;
@@ -134,14 +135,14 @@ let rotate_wr t =
     let len = Codec.length t.wr in
     ignore (Unix.lseek fd t.spill_woff Unix.SEEK_SET);
     write_exact fd (Codec.buffer t.wr) 0 len;
-    Ring.push t.pending (Disk { off = t.spill_woff; len });
+    Queue.add (Disk { off = t.spill_woff; len }) t.pending;
     t.spill_woff <- t.spill_woff + len;
     t.spilled_bytes <- t.spilled_bytes + len;
     t.spill_chunks <- t.spill_chunks + 1;
     Codec.reset t.wr
   end
   else begin
-    Ring.push t.pending (Mem t.wr);
+    Queue.add (Mem t.wr) t.pending;
     t.pending_mem <- t.pending_mem + 1;
     (match t.free with
     | c :: rest ->
@@ -175,13 +176,13 @@ let free_chunk t c =
    or the write chunk itself when nothing is pending. *)
 let advance_rd t =
   Codec.reset t.rd;
-  (if Ring.is_empty t.pending then begin
+  (if Queue.is_empty t.pending then begin
      let drained = t.rd in
      t.rd <- t.wr;
      t.wr <- drained
    end
    else
-     match Ring.pop t.pending with
+     match Queue.pop t.pending with
      | Mem c ->
          t.pending_mem <- t.pending_mem - 1;
          free_chunk t t.rd;
@@ -221,8 +222,8 @@ let clear t =
   t.rpos <- 0;
   t.len <- 0;
   t.bytes <- 0;
-  while not (Ring.is_empty t.pending) do
-    match Ring.pop t.pending with
+  while not (Queue.is_empty t.pending) do
+    match Queue.pop t.pending with
     | Mem c ->
         t.pending_mem <- t.pending_mem - 1;
         free_chunk t c
